@@ -33,7 +33,7 @@ from .errors import (
     QbanditError,
     RenormalizationWarning,
 )
-from .hilbert import StateVector, apply, basis_state, densify, marginal_over_y
+from .hilbert import StateVector, apply, basis_state, marginal_over_y
 from .instances import (
     FAMILIES,
     bernoulli_instance,
@@ -48,7 +48,6 @@ from .qbai import (
     QbaiRun,
     analytic_recommendation,
     build_operators,
-    complete_unitary,
     grover_step,
     peak_recommendation,
     run_qbai,
@@ -96,8 +95,6 @@ __all__ = [
     "bernoulli_instance",
     "build_operators",
     "compare",
-    "complete_unitary",
-    "densify",
     "error_probability",
     "estimate_error",
     "grover_step",

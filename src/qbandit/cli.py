@@ -306,6 +306,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _count_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _sizes_arg(text: str) -> tuple[int, ...]:
     try:
         sizes = tuple(int(part) for part in text.split(",") if part.strip())
@@ -333,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="state-vector recommendation tables")
     common(p)
-    p.add_argument("--n", type=int, default=10, help="largest step count in the sweep")
+    p.add_argument("--n", type=_count_arg, default=10, help="largest step count in the sweep")
     p.add_argument("--reflection", choices=("composite", "tensor"), default="composite")
     p.add_argument("--phases", choices=("real", "random"), default="real")
 
     p = sub.add_parser("analytic", help="closed-form recommendation tables")
     common(p)
-    p.add_argument("--n", type=int, default=10, help="largest step count in the sweep")
+    p.add_argument("--n", type=_count_arg, default=10, help="largest step count in the sweep")
 
     p = sub.add_parser("ucbe", help="Monte Carlo error of the classical baseline")
     common(p)
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="quantum vs classical on one instance")
     common(p)
-    p.add_argument("--sim-cap", dest="sim_cap", type=int, default=SIM_CAP,
+    p.add_argument("--sim-cap", dest="sim_cap", type=_count_arg, default=SIM_CAP,
                    help="largest N*M the cross-checking simulation touches")
 
     p = sub.add_parser("scale", help="family sweep with n_star growth fit")
@@ -362,11 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_sizes_arg,
                    default=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
                    help="comma-separated arm counts")
-    p.add_argument("--sim-cap", dest="sim_cap", type=int, default=SIM_CAP)
+    p.add_argument("--sim-cap", dest="sim_cap", type=_count_arg, default=SIM_CAP)
 
     p = sub.add_parser("validate", help="closed form vs simulator; exit 3 on mismatch")
     common(p)
-    p.add_argument("--n", type=int, default=50, help="largest step count in the sweep")
+    p.add_argument("--n", type=_count_arg, default=50, help="largest step count in the sweep")
     p.add_argument("--reflection", choices=("composite", "tensor"), default="composite")
     p.add_argument("--phases", choices=("real", "random"), default="real")
 

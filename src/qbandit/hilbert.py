@@ -2,11 +2,10 @@
 
 The composite space has one axis of size N for agent actions and one of size M
 for environment outcomes; basis state |x y> sits at flat index x * M + y.
-Operators are kept in structured form (sign flips, block-diagonal unitaries,
-rank-one reflections) so applying one costs O(N*M) or O(N*M^2) instead of
-O((N*M)^2).  `densify` builds the equivalent dense matrix directly from each
-operator's definition and exists as an independent route for cross-checking
-`apply`; it is never used on the hot path.
+Operators are kept in structured form (sign flips, Householder preparations,
+rank-one reflections), so each is stored in O(N*M) and applied in O(N*M)
+instead of O((N*M)^2).  No dense matrix of any operator is built here; the
+dense oracle that cross-checks `apply` lives with the tests.
 """
 
 from __future__ import annotations
@@ -18,20 +17,10 @@ import numpy as np
 from .errors import DimensionError, InvalidOperator
 
 # Payload unitarity check; looser than application accuracy to absorb
-# orthonormalization roundoff.
+# normalization roundoff.
 UNITARY_TOL = 1e-10
 # States must arrive normalized; applications keep them that way to ~1e-15.
 STATE_NORM_TOL = 1e-9
-# densify is a test oracle, not a scalable path.
-DENSIFY_CAP = 4096
-
-
-def basis_index(dims: tuple[int, int], x: int, y: int) -> int:
-    """Flat index of |x y> under the row-major (x * M + y) convention."""
-    n, m = dims
-    if not (0 <= x < n and 0 <= y < m):
-        raise DimensionError(f"basis label ({x}, {y}) outside dims {dims}")
-    return x * m + y
 
 
 @dataclass(frozen=True)
@@ -71,14 +60,6 @@ def basis_state(dims: tuple[int, int], index: int = 0) -> StateVector:
     return StateVector(dims, amps)
 
 
-def _require_unitary(matrix: np.ndarray, what: str) -> None:
-    d = matrix.shape[0]
-    gram = matrix.conj().T @ matrix
-    dev = float(np.abs(gram - np.eye(d)).max())
-    if dev > UNITARY_TOL:
-        raise InvalidOperator(f"{what} is not unitary: max |U*U - I| = {dev:.3e}")
-
-
 @dataclass(frozen=True)
 class DiagonalSign:
     """Phase oracle: flips the sign of every basis state selected by mask (N, M)."""
@@ -98,51 +79,73 @@ class DiagonalSign:
 
 
 @dataclass(frozen=True)
-class BlockEnvUnitary:
-    """Action-controlled environment unitary: block x acts on the y axis, (N, M, M)."""
+class HouseholderPrep:
+    """Preparation unitary W = g (I - 2 u u*) acting along one axis.
 
-    blocks: np.ndarray
+    axis 0 is the agent axis: u has shape (1, N), one reflector applied to x
+    and the identity on y.  axis 1 is the environment axis: u has shape
+    (N, M), row x reflecting the y axis of block x.  phase holds the unit
+    factor g of each row of u.  I - 2 u u* is unitary and Hermitian for unit
+    u, so checking |u| = 1 and |g| = 1 stands in for a Gram product, and the
+    adjoint is the same u with conjugated phases.
+    """
+
+    dims: tuple[int, int]
+    axis: int
+    u: np.ndarray
+    phase: np.ndarray
 
     def __post_init__(self) -> None:
-        blocks = np.array(self.blocks, dtype=np.complex128)
-        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+        n, m = self.dims
+        if self.axis not in (0, 1):
+            raise InvalidOperator(f"axis must be 0 or 1, got {self.axis}")
+        shape = (1, n) if self.axis == 0 else (n, m)
+        u = np.array(self.u, dtype=np.complex128)
+        phase = np.array(self.phase, dtype=np.complex128)
+        if u.shape != shape or phase.shape != shape[:1]:
             raise InvalidOperator(
-                f"blocks must have shape (N, M, M), got {blocks.shape}"
+                f"reflector shapes {u.shape} and {phase.shape} do not match "
+                f"axis {self.axis} of dims {self.dims}"
             )
-        gram = np.einsum("xji,xjk->xik", blocks.conj(), blocks)
-        eye = np.eye(blocks.shape[1])
-        dev = float(np.abs(gram - eye).max())
+        dev = max(
+            float(np.abs(np.linalg.norm(u, axis=1) - 1.0).max()),
+            float(np.abs(np.abs(phase) - 1.0).max()),
+        )
         if dev > UNITARY_TOL:
-            raise InvalidOperator(f"a block is not unitary: max |U*U - I| = {dev:.3e}")
-        blocks.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
+            raise InvalidOperator(
+                f"preparation is not unitary: max ||u| - 1|, ||g| - 1| = {dev:.3e}"
+            )
+        u.setflags(write=False)
+        phase.setflags(write=False)
+        object.__setattr__(self, "dims", (int(n), int(m)))
+        object.__setattr__(self, "axis", int(self.axis))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "phase", phase)
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.blocks.shape[0], self.blocks.shape[1])
+    @classmethod
+    def from_columns(
+        cls, dims: tuple[int, int], axis: int, columns: np.ndarray
+    ) -> HouseholderPrep:
+        """The preparation with W|0> = c for each row c of columns, normalized.
 
-
-@dataclass(frozen=True)
-class PrepUnitary:
-    """Agent-side unitary acting as matrix (N, N) tensored with identity on y."""
-
-    matrix: np.ndarray
-    env_dim: int
-
-    def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=np.complex128)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise InvalidOperator(f"matrix must be square, got shape {matrix.shape}")
-        if self.env_dim < 1:
-            raise InvalidOperator(f"env_dim must be positive, got {self.env_dim}")
-        _require_unitary(matrix, "agent preparation matrix")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "env_dim", int(self.env_dim))
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.matrix.shape[0], self.env_dim)
+        With gamma = -conj(c0)/|c0| (-1 when c0 = 0), v = e0 - gamma c and
+        u = v/|v|, the reflector maps e0 to gamma c, so g = conj(gamma)
+        restores c.  v0 = 1 + |c0| >= 1, so no column is a degenerate case.
+        """
+        c = np.array(columns, dtype=np.complex128)
+        if c.ndim != 2 or c.shape[1] < 1:
+            raise ValueError(f"columns must be a 2-d stack of rows, got shape {c.shape}")
+        norms = np.linalg.norm(c, axis=1)
+        if not (norms > 0).all():
+            raise ValueError("a column is zero")
+        c /= norms[:, None]
+        mag = np.abs(c[:, 0])
+        gamma = -np.ones(len(c), dtype=np.complex128)
+        np.divide(-c[:, 0].conj(), mag, out=gamma, where=mag > 0)
+        v = -gamma[:, None] * c
+        v[:, 0] += 1.0
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        return cls(dims, axis, v, gamma.conj())
 
 
 @dataclass(frozen=True)
@@ -179,34 +182,7 @@ class TensorReflection:
         object.__setattr__(self, "anchor_y", int(self.anchor_y))
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Explicit (N*M, N*M) unitary; the fallback/oracle representation."""
-
-    dims: tuple[int, int]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        n, m = self.dims
-        matrix = np.array(self.matrix, dtype=np.complex128)
-        if matrix.shape != (n * m, n * m):
-            raise DimensionError(
-                f"matrix shape {matrix.shape} does not match dims {self.dims}"
-            )
-        _require_unitary(matrix, "dense matrix")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "dims", (int(n), int(m)))
-
-
-OperatorSpec = (
-    DiagonalSign
-    | BlockEnvUnitary
-    | PrepUnitary
-    | CompositeReflection
-    | TensorReflection
-    | DenseMatrix
-)
+OperatorSpec = DiagonalSign | HouseholderPrep | CompositeReflection | TensorReflection
 
 
 def apply(op: OperatorSpec, s: StateVector) -> StateVector:
@@ -216,10 +192,17 @@ def apply(op: OperatorSpec, s: StateVector) -> StateVector:
     n, m = s.dims
     if isinstance(op, DiagonalSign):
         out = np.where(op.mask.reshape(-1), -s.amps, s.amps)
-    elif isinstance(op, BlockEnvUnitary):
-        out = np.einsum("xij,xj->xi", op.blocks, s.amps.reshape(n, m)).reshape(-1)
-    elif isinstance(op, PrepUnitary):
-        out = (op.matrix @ s.amps.reshape(n, m)).reshape(-1)
+    elif isinstance(op, HouseholderPrep):
+        # rows are the vectors each reflector acts on: the columns of the
+        # (N, M) amplitude table for the agent axis, its rows for the other
+        rows = s.amps.reshape(n, m)
+        if op.axis == 0:
+            rows = rows.T
+        proj = (rows * op.u.conj()).sum(axis=1)
+        out = op.phase[:, None] * (rows - 2.0 * proj[:, None] * op.u)
+        if op.axis == 0:
+            out = out.T
+        out = out.reshape(-1)
     elif isinstance(op, CompositeReflection):
         out = -s.amps
         out[op.anchor] = s.amps[op.anchor]
@@ -229,8 +212,6 @@ def apply(op: OperatorSpec, s: StateVector) -> StateVector:
         sign_y = np.full(m, -1.0)
         sign_y[op.anchor_y] = 1.0
         out = (s.amps.reshape(n, m) * np.outer(sign_x, sign_y)).reshape(-1)
-    elif isinstance(op, DenseMatrix):
-        out = op.matrix @ s.amps
     else:
         raise InvalidOperator(f"unknown operator kind {type(op).__name__}")
     return StateVector(s.dims, out)
@@ -240,50 +221,9 @@ def adjoint(op: OperatorSpec) -> OperatorSpec:
     """The conjugate-transpose operator; sign flips and reflections are their own."""
     if isinstance(op, (DiagonalSign, CompositeReflection, TensorReflection)):
         return op
-    if isinstance(op, BlockEnvUnitary):
-        return BlockEnvUnitary(op.blocks.conj().transpose(0, 2, 1))
-    if isinstance(op, PrepUnitary):
-        return PrepUnitary(op.matrix.conj().T, op.env_dim)
-    if isinstance(op, DenseMatrix):
-        return DenseMatrix(op.dims, op.matrix.conj().T)
+    if isinstance(op, HouseholderPrep):
+        return HouseholderPrep(op.dims, op.axis, op.u, op.phase.conj())
     raise InvalidOperator(f"unknown operator kind {type(op).__name__}")
-
-
-def densify(op: OperatorSpec, cap: int = DENSIFY_CAP) -> np.ndarray:
-    """Dense matrix built from the operator's definition (cross-check oracle only)."""
-    n, m = op.dims
-    d = n * m
-    if d > cap:
-        raise DimensionError(f"densify cap exceeded: {d} > {cap}")
-    if isinstance(op, DiagonalSign):
-        return np.diag(np.where(op.mask.reshape(-1), -1.0, 1.0)).astype(np.complex128)
-    if isinstance(op, BlockEnvUnitary):
-        out = np.zeros((d, d), dtype=np.complex128)
-        for x in range(n):
-            out[x * m:(x + 1) * m, x * m:(x + 1) * m] = op.blocks[x]
-        return out
-    if isinstance(op, PrepUnitary):
-        return np.kron(op.matrix, np.eye(m, dtype=np.complex128))
-    if isinstance(op, CompositeReflection):
-        out = -np.eye(d, dtype=np.complex128)
-        out[op.anchor, op.anchor] = 1.0
-        return out
-    if isinstance(op, TensorReflection):
-        sx = -np.eye(n, dtype=np.complex128)
-        sx[op.anchor_x, op.anchor_x] = 1.0
-        sy = -np.eye(m, dtype=np.complex128)
-        sy[op.anchor_y, op.anchor_y] = 1.0
-        return np.kron(sx, sy)
-    if isinstance(op, DenseMatrix):
-        return np.array(op.matrix)
-    raise InvalidOperator(f"unknown operator kind {type(op).__name__}")
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.dims != b.dims:
-        raise DimensionError(f"state dims differ: {a.dims} vs {b.dims}")
-    return complex(np.vdot(a.amps, b.amps))
 
 
 def marginal_over_y(s: StateVector) -> np.ndarray:

@@ -12,6 +12,14 @@ law the loop must obey,
 
 where a_x is arm x's value and p the success mass of the prepared state.  The
 two routes agreeing to ~1e-12 is the package's central cross-check.
+
+The preparation W is the product of two Householder reflectors with phases:
+one on the agent axis whose first column is alpha, and one per arm on the
+environment axis whose first column is sqrt(nu[x]) (times random phases when
+asked).  The composite reflection W S W* = 2|psi0><psi0| - I depends on W only
+through W|0>, so any such completion gives the same loop; the tensor variant
+does depend on how the environment preparation is completed.  Operators are
+stored and applied in O(N*M).
 """
 
 from __future__ import annotations
@@ -25,11 +33,9 @@ import numpy as np
 from .bandits import BanditInstance, arm_values
 from .errors import NoGoodStates
 from .hilbert import (
-    BlockEnvUnitary,
     CompositeReflection,
     DiagonalSign,
-    OperatorSpec,
-    PrepUnitary,
+    HouseholderPrep,
     StateVector,
     TensorReflection,
     adjoint,
@@ -46,17 +52,16 @@ REFLECTIONS = ("composite", "tensor")
 class QbaiOperators:
     """The four operators of one amplification setup plus the prepared state.
 
-    Adjoints of the two preparation unitaries are stored so a step never
-    rebuilds (and never revalidates) them.
+    The preparation W = prep_env * prep_agent is held as two Householder
+    reflectors, O(N*M) in all; W* is the same reflectors with conjugated
+    phases, so no adjoint is stored.
     """
 
-    prep_agent: PrepUnitary
-    prep_env: BlockEnvUnitary
+    prep_agent: HouseholderPrep
+    prep_env: HouseholderPrep
     oracle: DiagonalSign
     reflection: CompositeReflection | TensorReflection
     psi0_state: StateVector
-    prep_agent_adj: PrepUnitary
-    prep_env_adj: BlockEnvUnitary
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ def _prepare_alpha(inst: BanditInstance, alpha: np.ndarray | None) -> np.ndarray
     norm = np.linalg.norm(a)
     if abs(norm - 1.0) > ALPHA_TOL:
         raise ValueError(f"alpha norm {norm!r} is not 1 within {ALPHA_TOL}")
-    # exact unit norm keeps the completed preparation matrix unitary
+    # exact unit norm, so the closed-form weights |alpha|^2 sum to 1
     return a / norm
 
 
@@ -111,46 +116,6 @@ def _arm_weights(inst: BanditInstance, alpha: np.ndarray | None) -> np.ndarray:
     if alpha is None:
         return np.full(inst.n_arms, 1.0 / inst.n_arms)
     return np.abs(_prepare_alpha(inst, alpha)) ** 2
-
-
-def complete_unitary(first_column: np.ndarray) -> np.ndarray:
-    """Deterministic unitary whose first column is the given unit vector.
-
-    The remaining columns are the Gram-Schmidt orthonormalization, in index
-    order, of the canonical basis vectors minus the one overlapping the first
-    column most (dropping the pivot keeps the set independent and the
-    elimination well conditioned).  Orthonormalizing e_i against the columns
-    produced so far reduces to subtracting the leftover piece of the first
-    column, so each column costs O(d) and the whole completion O(d^2):
-
-        q_k = normalize(e_ik - r * conj(r[ik]) / |r|^2),
-
-    with r the first column with previously consumed entries zeroed out.
-    """
-    c = np.asarray(first_column, dtype=np.complex128)
-    if c.ndim != 1 or c.size < 1:
-        raise ValueError(f"first column must be a vector, got shape {c.shape}")
-    norm = np.linalg.norm(c)
-    if norm == 0:
-        raise ValueError("first column is zero")
-    c = c / norm
-    d = c.size
-    out = np.empty((d, d), dtype=np.complex128)
-    out[:, 0] = c
-    pivot = int(np.argmax(np.abs(c)))
-    r = c.copy()
-    r_sq = 1.0
-    col = 1
-    for i in range(d):
-        if i == pivot:
-            continue
-        v = r * (-np.conj(r[i]) / r_sq)
-        v[i] += 1.0
-        out[:, col] = v / np.linalg.norm(v)
-        col += 1
-        r_sq -= abs(r[i]) ** 2
-        r[i] = 0.0
-    return out
 
 
 def build_operators(
@@ -173,14 +138,12 @@ def build_operators(
     al = _prepare_alpha(inst, alpha)
     n, m = inst.n_arms, inst.n_env
     dims = (n, m)
-    prep_agent = PrepUnitary(complete_unitary(al), m)
-    blocks = np.empty((n, m, m), dtype=np.complex128)
-    for x in range(n):
-        col = np.sqrt(inst.nu[x]).astype(np.complex128)
-        if phase_rng is not None:
-            col = col * np.exp(2j * np.pi * phase_rng.random(m))
-        blocks[x] = complete_unitary(col)
-    prep_env = BlockEnvUnitary(blocks)
+    prep_agent = HouseholderPrep.from_columns(dims, 0, al[None, :])
+    env_cols = np.sqrt(inst.nu).astype(np.complex128)
+    if phase_rng is not None:
+        # row-major draws: arm x takes the stream's x-th block of M values
+        env_cols *= np.exp(2j * np.pi * phase_rng.random((n, m)))
+    prep_env = HouseholderPrep.from_columns(dims, 1, env_cols)
     oracle = DiagonalSign(inst.f == 1)
     if reflection == "composite":
         refl: CompositeReflection | TensorReflection = CompositeReflection(dims, 0)
@@ -193,8 +156,6 @@ def build_operators(
         oracle=oracle,
         reflection=refl,
         psi0_state=psi0,
-        prep_agent_adj=adjoint(prep_agent),
-        prep_env_adj=adjoint(prep_env),
     )
 
 
@@ -229,8 +190,8 @@ def grover_step(ops: QbaiOperators, s: StateVector) -> StateVector:
     configured anchor reflection, never as an explicit matrix.
     """
     s = apply(ops.oracle, s)
-    s = apply(ops.prep_env_adj, s)
-    s = apply(ops.prep_agent_adj, s)
+    s = apply(adjoint(ops.prep_env), s)
+    s = apply(adjoint(ops.prep_agent), s)
     s = apply(ops.reflection, s)
     s = apply(ops.prep_agent, s)
     return apply(ops.prep_env, s)

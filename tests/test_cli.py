@@ -169,3 +169,23 @@ def test_alpha_in_instance_file_is_used(capsys, tmp_path):
     )
     _, rows = run_csv(capsys, ["analytic", "--instance", str(path), "--n", "0"])
     assert float(rows[0]["p0"]) == pytest.approx(0.9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "-1"],
+        ["analytic", "--n", "-3"],
+        ["validate", "--n", "-2"],
+        ["compare", "--sim-cap", "-5"],
+        ["scale", "--family", "one-good-arm", "--sizes", "4,8", "--sim-cap", "-1"],
+    ],
+    ids=["simulate", "analytic", "validate", "compare", "scale"],
+)
+def test_negative_counts_rejected(capsys, instance_path, argv):
+    if argv[0] != "scale":
+        argv = [*argv, "--instance", instance_path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a non-negative integer" in captured.err

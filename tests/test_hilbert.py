@@ -5,28 +5,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dense import densify
 from qbandit.errors import DimensionError, InvalidOperator
 from qbandit.hilbert import (
-    BlockEnvUnitary,
     CompositeReflection,
-    DenseMatrix,
     DiagonalSign,
-    PrepUnitary,
+    HouseholderPrep,
     StateVector,
     TensorReflection,
     adjoint,
     apply,
-    basis_index,
     basis_state,
-    densify,
-    inner,
     marginal_over_y,
 )
 
+N_KINDS = 5
 
-def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+def random_columns(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def random_state(rng: np.random.Generator, dims: tuple[int, int]) -> StateVector:
@@ -35,30 +32,21 @@ def random_state(rng: np.random.Generator, dims: tuple[int, int]) -> StateVector
     return StateVector(dims, amps / np.linalg.norm(amps))
 
 
-def random_operator(rng: np.random.Generator, dims: tuple[int, int]):
+def random_operator(
+    rng: np.random.Generator, dims: tuple[int, int], kind: int | None = None
+):
     n, m = dims
-    kind = rng.integers(6)
+    if kind is None:
+        kind = int(rng.integers(N_KINDS))
     if kind == 0:
         return DiagonalSign(rng.random((n, m)) < 0.5)
     if kind == 1:
-        return BlockEnvUnitary(np.stack([random_unitary(rng, m) for _ in range(n)]))
+        return HouseholderPrep.from_columns(dims, 0, random_columns(rng, (1, n)))
     if kind == 2:
-        return PrepUnitary(random_unitary(rng, n), m)
+        return HouseholderPrep.from_columns(dims, 1, random_columns(rng, (n, m)))
     if kind == 3:
         return CompositeReflection(dims, int(rng.integers(n * m)))
-    if kind == 4:
-        return TensorReflection(dims, int(rng.integers(n)), int(rng.integers(m)))
-    return DenseMatrix(dims, random_unitary(rng, n * m))
-
-
-def test_basis_index_convention():
-    assert basis_index((3, 4), 0, 0) == 0
-    assert basis_index((3, 4), 1, 0) == 4
-    assert basis_index((3, 4), 2, 3) == 11
-    with pytest.raises(DimensionError):
-        basis_index((3, 4), 3, 0)
-    with pytest.raises(DimensionError):
-        basis_index((3, 4), 0, -1)
+    return TensorReflection(dims, int(rng.integers(n)), int(rng.integers(m)))
 
 
 def test_state_vector_validation():
@@ -105,7 +93,7 @@ def test_apply_matches_densify(seed):
     """Structured application equals multiplication by the densified matrix."""
     rng = np.random.default_rng(seed)
     dims = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-    op = random_operator(rng, dims)
+    op = random_operator(rng, dims, kind=seed % N_KINDS)
     s = random_state(rng, dims)
     direct = apply(op, s).amps
     dense = densify(op) @ s.amps
@@ -116,7 +104,7 @@ def test_apply_matches_densify(seed):
 def test_adjoint_matches_densify(seed):
     rng = np.random.default_rng(100 + seed)
     dims = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-    op = random_operator(rng, dims)
+    op = random_operator(rng, dims, kind=seed % N_KINDS)
     assert np.abs(densify(adjoint(op)) - densify(op).conj().T).max() <= 1e-12
 
 
@@ -159,15 +147,21 @@ def test_dims_mismatch_raises():
 
 
 def test_unitarity_enforced():
+    unit = np.array([[0.6, 0.8j]])
     with pytest.raises(InvalidOperator):
-        PrepUnitary(np.array([[1.0, 0.0], [1.0, 1.0]]), 2)
+        HouseholderPrep((2, 3), 0, np.array([[1.0, 1.0]]), np.ones(1))
     with pytest.raises(InvalidOperator):
-        BlockEnvUnitary(np.ones((1, 2, 2)))
+        HouseholderPrep((2, 3), 0, unit, np.array([1.1]))
     with pytest.raises(InvalidOperator):
-        DenseMatrix((2, 1), np.full((2, 2), 0.5))
+        HouseholderPrep((1, 2), 1, np.ones((1, 2)), np.ones(1))
+    # shapes must match the axis: (1, N) on the agent axis, (N, M) on the other
+    with pytest.raises(InvalidOperator):
+        HouseholderPrep((2, 3), 1, unit, np.ones(1))
+    with pytest.raises(InvalidOperator):
+        HouseholderPrep((2, 3), 2, unit, np.ones(1))
     # deviation within 1e-10 is absorbed
     eps = 2e-11
-    PrepUnitary(np.array([[1.0 + eps, 0.0], [0.0, 1.0]]), 1)
+    HouseholderPrep((2, 3), 0, unit * (1.0 + eps), np.array([1j * (1.0 - eps)]))
 
 
 def test_densify_cap():
@@ -175,15 +169,6 @@ def test_densify_cap():
     with pytest.raises(DimensionError):
         densify(op, cap=99)
     assert densify(op, cap=100).shape == (100, 100)
-
-
-def test_inner_is_conjugate_linear_in_first_argument():
-    a = StateVector((2, 1), np.array([1j, 0.0]))
-    b = StateVector((2, 1), np.array([1.0, 0.0]))
-    assert inner(a, b) == pytest.approx(-1j)
-    assert inner(b, a) == pytest.approx(1j)
-    with pytest.raises(DimensionError):
-        inner(a, basis_state((1, 2)))
 
 
 def test_marginal_over_y():

@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dense import densify
 from helpers import four_arm_exact, random_instance, two_arm_stochastic
 from qbandit.bandits import BanditInstance, arm_values
 from qbandit.errors import NoGoodStates
-from qbandit.hilbert import CompositeReflection, TensorReflection, marginal_over_y
-from qbandit.instances import bernoulli_instance
+from qbandit.hilbert import (
+    CompositeReflection,
+    HouseholderPrep,
+    TensorReflection,
+    marginal_over_y,
+)
+from qbandit.instances import bernoulli_instance, one_good_arm
 from qbandit.qbai import (
     analytic_recommendation,
     build_operators,
-    complete_unitary,
     grover_step,
     peak_recommendation,
     run_qbai,
@@ -25,49 +32,65 @@ from qbandit.qbai import (
 from qbandit.ucbe import RngStream
 
 
-def literal_completion(first_column: np.ndarray) -> np.ndarray:
-    """Reference: textbook sequential Gram-Schmidt, pivot dropped, index order."""
-    c = np.asarray(first_column, dtype=complex)
-    c = c / np.linalg.norm(c)
-    d = c.size
-    pivot = int(np.argmax(np.abs(c)))
-    cols = [c]
-    for i in range(d):
-        if i == pivot:
-            continue
-        v = np.zeros(d, dtype=complex)
-        v[i] = 1.0
-        for q in cols:
-            v = v - q * np.vdot(q, v)
-        cols.append(v / np.linalg.norm(v))
-    return np.stack(cols, axis=1)
+def completion(column: np.ndarray) -> np.ndarray:
+    """Dense W of the Householder preparation whose first column is column."""
+    c = np.asarray(column, dtype=complex)
+    return densify(HouseholderPrep.from_columns((c.size, 1), 0, c[None, :]))
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_complete_unitary(seed):
+    """The preparation completes a random unit column to a unitary."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 40))
     c = rng.normal(size=d) + (1j * rng.normal(size=d) if seed % 2 else 0.0)
     c = c / np.linalg.norm(c)
-    u = complete_unitary(c)
-    assert np.abs(u[:, 0] - c).max() <= 1e-15
+    u = completion(c)
+    assert np.abs(u[:, 0] - c).max() <= 1e-14
     assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-12
-    assert np.abs(u - literal_completion(c)).max() <= 1e-12
-    assert np.array_equal(u, complete_unitary(c))
+    assert np.array_equal(u, completion(c))
 
 
 def test_complete_unitary_on_basis_vector():
-    # first column e_2: remaining columns are the other canonical vectors in order
-    u = complete_unitary(np.array([0.0, 0.0, 1.0, 0.0]))
-    expected = np.eye(4)[:, [2, 0, 1, 3]]
-    assert np.abs(u - expected).max() <= 1e-15
+    # first column e_2, so c0 = 0: the stable sign still gives a unit reflector
+    u = completion(np.array([0.0, 0.0, 1.0, 0.0]))
+    assert np.abs(u[:, 0] - np.array([0.0, 0.0, 1.0, 0.0])).max() <= 1e-15
+    assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [1.0, 0.0, 0.0],        # e0 itself
+        [0.0, 0.6, 0.8j],       # c0 = 0
+        [0.6j, 0.0, -0.8],      # purely imaginary c0
+        [0.36 + 0.48j, 0.8],    # complex c0
+        [1.0],                  # length 1
+        [-1j],                  # length 1, complex
+        [1e-300, 1.0],          # c0 far below roundoff
+    ],
+)
+def test_complete_unitary_edge_columns(column):
+    c = np.asarray(column, dtype=complex)
+    c = c / np.linalg.norm(c)
+    u = completion(c)
+    assert np.abs(u[:, 0] - c).max() <= 1e-14
+    assert np.abs(u.conj().T @ u - np.eye(c.size)).max() <= 1e-12
+    # the same columns as environment blocks, several arms at once
+    stack = np.stack([c, c[::-1]])
+    env = densify(HouseholderPrep.from_columns((2, c.size), 1, stack))
+    assert np.abs(env[:c.size, 0] - c).max() <= 1e-14
+    assert np.abs(env[c.size:, c.size] - c[::-1]).max() <= 1e-14
+    assert np.abs(env.conj().T @ env - np.eye(2 * c.size)).max() <= 1e-12
 
 
 def test_complete_unitary_rejects_bad_input():
     with pytest.raises(ValueError):
-        complete_unitary(np.zeros(3))
+        HouseholderPrep.from_columns((3, 1), 0, np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        complete_unitary(np.ones((2, 2)))
+        HouseholderPrep.from_columns((2, 1), 0, np.ones(2))
+    with pytest.raises(ValueError):
+        HouseholderPrep.from_columns((2, 2), 1, np.array([[0.6, 0.8], [0.0, 0.0]]))
 
 
 def test_build_operators_prepared_state():
@@ -92,6 +115,50 @@ def test_build_operators_validation():
         build_operators(inst, np.full(4, 0.5 + 1e-6))
     with pytest.raises(ValueError):
         build_operators(inst, reflection="mirror")
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_grover_step_matches_dense_reflection(seed):
+    """W S W* O equals the dense (2|psi0><psi0| - I) O, whatever the completion."""
+    rng = np.random.default_rng(400 + seed)
+    inst, alpha = random_instance(rng)
+    phase_rng = RngStream(seed).generator() if seed % 2 else None
+    ops = build_operators(inst, alpha, phase_rng=phase_rng)
+    psi0 = ops.psi0_state.amps
+    step = (2.0 * np.outer(psi0, psi0.conj()) - np.eye(psi0.size)) @ densify(ops.oracle)
+    state = ops.psi0_state
+    dense = psi0
+    for _ in range(20):
+        state = grover_step(ops, state)
+        dense = step @ dense
+        assert np.abs(state.amps - dense).max() <= 1e-12
+
+
+def held_bytes(obj) -> int:
+    """Bytes of every array reachable through dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if not dataclasses.is_dataclass(obj):
+        return 0
+    return sum(held_bytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+
+
+def test_operator_memory_is_linear():
+    """Operators and their build stay O(N*M): no N x N or (N, M, M) array.
+
+    At N = 4096 a single N x N complex matrix is 16 N / M = 32768 bytes per
+    amplitude, far above either bound.
+    """
+    inst = one_good_arm(4096)
+    amplitudes = inst.n_arms * inst.n_env
+    tracemalloc.start()
+    try:
+        ops = build_operators(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held_bytes(ops) <= 128 * amplitudes
+    assert peak <= 256 * amplitudes
 
 
 def test_success_probability_exact_quarter():
