@@ -9,7 +9,10 @@ greedy choice.
 
 Randomness policy: every consumer derives a fresh generator from an explicit
 (seed, stream) pair, one uniform draw per round, so any trial can be replayed
-in isolation and results cannot depend on scheduling or worker count.
+in isolation and results cannot depend on scheduling or worker count.  The
+kernel draws each trial's uniforms in blocks of rounds; PCG64 random(a)
+followed by random(b) equals random(a + b) bit for bit, so the block width
+changes no draw, and memory stays bounded by UNIFORM_BLOCK_BYTES whatever T is.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ from .bandits import BanditInstance, InstanceSummary, summarize
 from .errors import InsufficientBudget
 
 BONUS_VARIANTS = ("per-arm", "printed")
-# trials processed per lockstep block; bounds the uniforms matrix footprint
+# trials run in lockstep by one kernel call
 DEFAULT_CHUNK = 2500
+# bytes of uniforms drawn per block of rounds (at least one round); with its
+# transposed copy the kernel holds twice this, whatever T is
+UNIFORM_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -55,21 +61,6 @@ class UcbeTrace:
     recommendation: int
 
 
-def sample_env(
-    inst: BanditInstance, x: int, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Draw one (outcome, reward) pair from arm x by inverse CDF on one uniform.
-
-    rng is a live generator, e.g. RngStream(seed, stream).generator().
-    """
-    if not (0 <= x < inst.n_arms):
-        raise ValueError(f"arm index {x} outside range [0, {inst.n_arms})")
-    cdf = np.cumsum(inst.nu[x])
-    u = rng.random()
-    y = min(int(np.searchsorted(cdf, u, side="right")), inst.n_env - 1)
-    return y, int(inst.f[x, y])
-
-
 def tuned_explore(summary: InstanceSummary, T: int) -> float:
     """Default exploration strength (25/36) * (T - N) / h1."""
     n = len(summary.a)
@@ -78,6 +69,86 @@ def tuned_explore(summary: InstanceSummary, T: int) -> float:
     if summary.h1 == 0.0:
         return 0.0
     return (25.0 / 36.0) * (T - n) / summary.h1
+
+
+def _check_args(inst: BanditInstance, T: int, explore: float, bonus: str) -> None:
+    if bonus not in BONUS_VARIANTS:
+        raise ValueError(f"bonus must be one of {BONUS_VARIANTS}, got {bonus!r}")
+    if not math.isfinite(explore) or explore < 0:
+        raise ValueError(f"explore must be finite and non-negative, got {explore}")
+    if T < inst.n_arms:
+        raise InsufficientBudget(f"budget T={T} below arm count N={inst.n_arms}")
+
+
+def _draw(
+    cdf: np.ndarray, f: np.ndarray, arms: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes y and rewards r of pulling arms[i] on uniform u[i], by inverse CDF.
+
+    cdf rows are nondecreasing, so the count of entries j < M - 1 with
+    cdf[x, j] <= u is min(#{j : cdf[x, j] <= u}, M - 1): the first outcome
+    whose cumulative mass exceeds u, and the last one when roundoff leaves
+    the row total below u.
+    """
+    m = cdf.shape[1]
+    y = np.zeros(len(arms), dtype=np.int64)
+    for j in range(m - 1):
+        y += cdf[:, j].take(arms) <= u
+    return y, f.ravel().take(arms * m + y)
+
+
+def _lockstep(
+    inst: BanditInstance,
+    T: int,
+    explore: float,
+    rng: RngStream,
+    start: int,
+    count: int,
+    bonus: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reward sums and pull counts, shape (count, N), of trials [start, start + count).
+
+    Trial i consumes stream rng.stream + start + i, one uniform per round in
+    round order.  Uniforms come in blocks of rounds no larger than
+    UNIFORM_BLOCK_BYTES, transposed so that a round reads one contiguous row.
+    Only the pulled entry of each trial's score row is recomputed per round,
+    by the same float operations on the same values as a full recomputation,
+    so argmax breaks ties identically.
+    """
+    n = inst.n_arms
+    gens = [
+        RngStream(rng.seed, rng.stream + start + i).generator() for i in range(count)
+    ]
+    width = max(1, min(T, UNIFORM_BLOCK_BYTES // (8 * count)))
+    drawn = np.empty((count, width))
+    block = np.empty((width, count))
+    cdf = np.cumsum(inst.nu, axis=1)
+    sums = np.zeros((count, n))
+    # float64 counts are exact and divide without an int64-to-float conversion
+    pulls = np.zeros((count, n))
+    scores = np.zeros((count, n))
+    sums_flat, pulls_flat, scores_flat = sums.ravel(), pulls.ravel(), scores.ravel()
+    offsets = np.arange(count) * n
+    for t in range(T):
+        k = t % width
+        if k == 0:
+            w = min(width, T - t)
+            for i, gen in enumerate(gens):
+                gen.random(out=drawn[i, :w])
+            block[:w] = drawn[:, :w].T
+        arms = np.full(count, t) if t < n else scores.argmax(axis=1)
+        _, r = _draw(cdf, inst.f, arms, block[k])
+        flat = offsets + arms
+        s = sums_flat.take(flat) + r
+        p = pulls_flat.take(flat) + 1
+        sums_flat[flat] = s
+        pulls_flat[flat] = p
+        if bonus == "per-arm":
+            scores_flat[flat] = s / p + np.sqrt(explore / p)
+        else:
+            # round-wide bonus shifts every score equally; compare means only
+            scores_flat[flat] = s / p
+    return sums, pulls
 
 
 def run_ucbe(
@@ -89,80 +160,19 @@ def run_ucbe(
     bonus: str = "per-arm",
 ) -> UcbeTrace:
     """One UCB-E episode of T rounds; bit-for-bit reproducible from (seed, stream)."""
-    if bonus not in BONUS_VARIANTS:
-        raise ValueError(f"bonus must be one of {BONUS_VARIANTS}, got {bonus!r}")
-    if explore < 0:
-        raise ValueError(f"explore must be non-negative, got {explore}")
-    n, m = inst.n_arms, inst.n_env
-    if T < n:
-        raise InsufficientBudget(f"budget T={T} below arm count N={n}")
-    cdf = np.cumsum(inst.nu, axis=1)
-    gen = rng.generator()
-    sums = np.zeros(n)
-    pulls = np.zeros(n, dtype=np.int64)
-    total = 0
-    for t in range(T):
-        if t < n:
-            x = t
-        elif bonus == "per-arm":
-            x = int(np.argmax(sums / pulls + np.sqrt(explore / pulls)))
-        else:
-            # round-wide bonus shifts every score equally; compare means only
-            x = int(np.argmax(sums / pulls))
-        u = gen.random()
-        y = min(int(np.searchsorted(cdf[x], u, side="right")), m - 1)
-        r = int(inst.f[x, y])
-        sums[x] += r
-        pulls[x] += 1
-        total += r
-    means = sums / pulls
+    _check_args(inst, T, explore, bonus)
+    sums, pulls = _lockstep(inst, T, explore, rng, 0, 1, bonus)
+    means = sums[0] / pulls[0]
     means.setflags(write=False)
+    pulls = pulls[0].astype(np.int64)
     pulls.setflags(write=False)
     return UcbeTrace(
         T=int(T),
         pulls=pulls,
         means=means,
-        rewards_total=int(total),
+        rewards_total=int(sums.sum()),
         recommendation=int(np.argmax(means)),
     )
-
-
-def _episode_recommendations(
-    inst: BanditInstance,
-    T: int,
-    explore: float,
-    rng: RngStream,
-    start: int,
-    count: int,
-    bonus: str,
-) -> np.ndarray:
-    """Recommendations of trials [start, start + count) run in lockstep.
-
-    Trial i consumes stream rng.stream + i, one uniform per round in round
-    order, exactly like run_ucbe on that stream; results match it bit for bit.
-    """
-    n, m = inst.n_arms, inst.n_env
-    uniforms = np.empty((count, T))
-    for i in range(count):
-        child = RngStream(rng.seed, rng.stream + start + i)
-        uniforms[i] = child.generator().random(T)
-    cdf = np.cumsum(inst.nu, axis=1)
-    sums = np.zeros((count, n))
-    pulls = np.zeros((count, n), dtype=np.int64)
-    rows = np.arange(count)
-    for t in range(T):
-        if t < n:
-            arms = np.full(count, t)
-        elif bonus == "per-arm":
-            arms = np.argmax(sums / pulls + np.sqrt(explore / pulls), axis=1)
-        else:
-            arms = np.argmax(sums / pulls, axis=1)
-        u = uniforms[:, t]
-        y = np.minimum((cdf[arms] <= u[:, None]).sum(axis=1), m - 1)
-        r = inst.f[arms, y]
-        sums[rows, arms] += r
-        pulls[rows, arms] += 1
-    return np.argmax(sums / pulls, axis=1)
 
 
 def estimate_error(
@@ -178,23 +188,20 @@ def estimate_error(
     """Monte Carlo misidentification rate and its 95% half-width.
 
     Trial i uses stream rng.stream + i, so the estimate is reproducible and
-    independent of chunking.  Episodes are run in vectorized lockstep; each
-    one is draw-for-draw identical to run_ucbe on its own stream.
+    independent of chunking.  Chunks of trials run in vectorized lockstep;
+    each trial is draw-for-draw identical to run_ucbe on its own stream.
     """
-    if bonus not in BONUS_VARIANTS:
-        raise ValueError(f"bonus must be one of {BONUS_VARIANTS}, got {bonus!r}")
+    _check_args(inst, T, explore, bonus)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if explore < 0:
-        raise ValueError(f"explore must be non-negative, got {explore}")
-    if T < inst.n_arms:
-        raise InsufficientBudget(f"budget T={T} below arm count N={inst.n_arms}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
     x_star = summarize(inst).x_star
     wrong = 0
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
-        recs = _episode_recommendations(inst, T, explore, rng, start, count, bonus)
-        wrong += int((recs != x_star).sum())
+        sums, pulls = _lockstep(inst, T, explore, rng, start, count, bonus)
+        wrong += int((np.argmax(sums / pulls, axis=1) != x_star).sum())
     e_hat = wrong / trials
     ci = 1.96 * math.sqrt(e_hat * (1.0 - e_hat) / trials)
     return e_hat, ci

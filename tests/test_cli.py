@@ -189,3 +189,12 @@ def test_negative_counts_rejected(capsys, instance_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "expected a non-negative integer" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_explore_rejected(capsys, instance_path, value):
+    argv = ["ucbe", "--instance", instance_path, "-T", "50", "--explore", value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "explore must be finite" in captured.err

@@ -3,33 +3,59 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import four_arm_exact
+from qbandit import ucbe
 from qbandit.bandits import BanditInstance, summarize
 from qbandit.errors import InsufficientBudget
 from qbandit.instances import bernoulli_instance
 from qbandit.ucbe import (
+    BONUS_VARIANTS,
     RngStream,
     estimate_error,
     run_ucbe,
-    sample_env,
     tuned_explore,
     ucbe_error_bound,
     ucbe_min_rounds,
 )
 
 
-class FixedUniform:
-    """Stand-in generator returning a scripted uniform draw."""
+def draw(inst: BanditInstance, arms, u) -> tuple[list, list]:
+    """Outcomes and rewards of the kernel's reward lookup on scripted uniforms."""
+    cdf = np.cumsum(inst.nu, axis=1)
+    y, r = ucbe._draw(cdf, inst.f, np.array(arms), np.array(u, dtype=float))
+    return y.tolist(), r.tolist()
 
-    def __init__(self, value: float):
-        self.value = value
 
-    def random(self):
-        return self.value
+def reference_episode(inst: BanditInstance, T: int, explore: float, stream: RngStream,
+                      bonus: str) -> tuple[list, list]:
+    """The documented policy in plain Python floats: reward sums and pull counts."""
+    n, m = inst.n_arms, inst.n_env
+    cdf = np.cumsum(inst.nu, axis=1).tolist()
+    sums, pulls = [0.0] * n, [0] * n
+    for t, u in enumerate(stream.generator().random(T).tolist()):
+        if t < n:
+            x = t
+        elif bonus == "per-arm":
+            x = max(range(n), key=lambda a: sums[a] / pulls[a] + math.sqrt(explore / pulls[a]))
+        else:
+            x = max(range(n), key=lambda a: sums[a] / pulls[a])
+        y = min(sum(c <= u for c in cdf[x]), m - 1)
+        sums[x] += int(inst.f[x, y])
+        pulls[x] += 1
+    return sums, pulls
+
+
+def three_arm_three_outcome() -> BanditInstance:
+    """Arms worth 0.5, 0.6 and 0.55; two reward rows are non-monotone in y."""
+    return BanditInstance(
+        nu=[[0.2, 0.5, 0.3], [0.2, 0.4, 0.4], [0.25, 0.3, 0.45]],
+        f=[[0, 1, 0], [1, 0, 1], [1, 1, 0]],
+    )
 
 
 def test_rng_stream_is_reproducible_and_disjoint():
@@ -44,22 +70,34 @@ def test_rng_stream_is_reproducible_and_disjoint():
         RngStream(0, -2)
 
 
-def test_sample_env_inverse_cdf():
+def test_draw_inverse_cdf():
     inst = bernoulli_instance([0.3])
-    # cdf is (0.3, 1.0); side="right" sends u = 0.3 to the second outcome
-    assert sample_env(inst, 0, FixedUniform(0.1)) == (0, 1)
-    assert sample_env(inst, 0, FixedUniform(0.3)) == (1, 0)
-    assert sample_env(inst, 0, FixedUniform(0.999)) == (1, 0)
-    with pytest.raises(ValueError):
-        sample_env(inst, 1, FixedUniform(0.5))
+    # cdf is (0.3, 1.0); u = 0.3 is not below the first entry, so outcome 1
+    assert draw(inst, [0, 0, 0, 0], [0.0, 0.1, 0.3, 0.999]) == ([0, 0, 1, 1], [1, 1, 0, 0])
 
 
-def test_sample_env_never_overflows():
+def test_draw_never_overflows():
     # row sum a hair under 1 is accepted untouched; a uniform above the last
     # cdf entry must still land on the final outcome
-    inst = BanditInstance(nu=np.array([[0.3, 0.7 - 1e-12]]), f=np.array([[0, 1]]))
-    y, r = sample_env(inst, 0, FixedUniform(1.0 - 1e-13))
-    assert y == 1 and r == 1
+    inst = BanditInstance(nu=[[0.2, 0.3, 0.5 - 1e-10]], f=[[0, 0, 1]])
+    assert draw(inst, [0], [1.0 - 1e-13]) == ([2], [1])
+
+
+def test_draw_single_outcome():
+    # M = 1: no cdf comparisons at all; the reward is the arm's only entry
+    inst = BanditInstance(nu=[[1.0], [1.0], [1.0]], f=[[0], [1], [0]])
+    assert draw(inst, [1, 0, 2, 1], [0.0, 0.5, 0.7, 1.0 - 1e-16]) == (
+        [0, 0, 0, 0], [1, 0, 0, 1]
+    )
+
+
+def test_draw_non_monotone_rewards():
+    inst = BanditInstance(nu=[[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]], f=[[0, 1, 0], [1, 0, 1]])
+    cdf = np.cumsum(inst.nu, axis=1)
+    u = [0.1, cdf[0, 0], 0.69, cdf[0, 1], 0.95, 0.59, cdf[1, 0], 0.8]
+    y, r = draw(inst, [0, 0, 0, 0, 0, 1, 1, 1], u)
+    assert y == [0, 1, 1, 2, 2, 0, 1, 2]
+    assert r == [0, 1, 1, 0, 0, 1, 0, 1]
 
 
 def test_tuned_explore():
@@ -90,6 +128,9 @@ def test_run_ucbe_validation():
         run_ucbe(inst, 10, -1.0, RngStream(0))
     with pytest.raises(ValueError):
         run_ucbe(inst, 10, 1.0, RngStream(0), bonus="round")
+    for explore in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            run_ucbe(inst, 10, explore, RngStream(0))
 
 
 def test_run_ucbe_accounting_and_reproducibility():
@@ -102,6 +143,17 @@ def test_run_ucbe_accounting_and_reproducibility():
     assert np.array_equal(a.pulls, b.pulls)
     assert np.array_equal(a.means, b.means)
     assert a.recommendation == b.recommendation
+
+
+@pytest.mark.parametrize("bonus", BONUS_VARIANTS)
+def test_run_ucbe_matches_reference_policy(bonus):
+    for inst, T in ((three_arm_three_outcome(), 61), (four_arm_exact(), 40)):
+        explore = tuned_explore(summarize(inst), T)
+        for i in range(6):
+            trace = run_ucbe(inst, T, explore, RngStream(4, i), bonus=bonus)
+            sums, pulls = reference_episode(inst, T, explore, RngStream(4, i), bonus)
+            assert trace.pulls.tolist() == pulls
+            assert trace.means.tolist() == [s / p for s, p in zip(sums, pulls)]
 
 
 @pytest.mark.parametrize("bonus", ["per-arm", "printed"])
@@ -131,12 +183,70 @@ def test_estimate_error_is_chunk_independent():
     assert small == large
 
 
+@pytest.mark.parametrize("bonus", BONUS_VARIANTS)
+def test_block_boundaries_leave_episodes_unchanged(monkeypatch, bonus):
+    """Uniforms drawn in blocks of a few rounds replay each stream exactly."""
+    inst = three_arm_three_outcome()
+    T, trials = 61, 23   # T is prime, so no block width of 2..60 rounds divides it
+    explore = tuned_explore(summarize(inst), T)
+    whole = [run_ucbe(inst, T, explore, RngStream(9, i), bonus=bonus) for i in range(trials)]
+    x_star = summarize(inst).x_star
+    wrong = sum(trace.recommendation != x_star for trace in whole)
+    assert 0 < wrong < trials
+
+    # 560 bytes: 7 rounds per block at 10 trials, 23 at 3, 3 at 23
+    monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", 560)
+    sums, pulls = ucbe._lockstep(inst, T, explore, RngStream(9), 0, trials, bonus)
+    assert np.array_equal(pulls, [trace.pulls for trace in whole])
+    assert np.array_equal(sums / pulls, [trace.means for trace in whole])
+    for chunk in (10, 4, 1000):
+        e_hat, _ = estimate_error(inst, T, explore, trials, RngStream(9), bonus=bonus,
+                                  chunk=chunk)
+        assert e_hat == wrong / trials
+
+    for i, trace in enumerate(whole[:5]):
+        for rounds in (1, 3, 7, 60):
+            monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", 8 * rounds)
+            blocked = run_ucbe(inst, T, explore, RngStream(9, i), bonus=bonus)
+            assert np.array_equal(blocked.pulls, trace.pulls)
+            assert np.array_equal(blocked.means, trace.means)
+            assert blocked.rewards_total == trace.rewards_total
+            assert blocked.recommendation == trace.recommendation
+
+
+def test_estimate_error_memory_is_bounded_by_budget(monkeypatch):
+    """Held uniforms stay within the block budget, however long the episode.
+
+    Drawing all T uniforms of every trial at once would take 200 * 5000 * 8 B
+    = 8 MB here.  Beyond the drawn block and its transposed copy, a trial
+    holds one generator (about 1 KB traced) and O(N) floats of state.
+    """
+    budget = 64 << 10
+    monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", budget)
+    inst = bernoulli_instance([0.5, 0.25])
+    T, trials = 5000, 200
+    estimate_error(inst, 20, 1.0, 2, RngStream(0))   # warm imports and caches
+    tracemalloc.start()
+    try:
+        estimate_error(inst, T, 1.0, trials, RngStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * budget + 2048 * trials * inst.n_arms
+    assert peak < trials * T * 8 / 4
+
+
 def test_estimate_error_validation():
     inst = bernoulli_instance([0.6, 0.4])
     with pytest.raises(ValueError):
         estimate_error(inst, 30, 1.0, 0, RngStream(0))
     with pytest.raises(InsufficientBudget):
         estimate_error(inst, 1, 1.0, 10, RngStream(0))
+    with pytest.raises(ValueError, match="finite"):
+        estimate_error(inst, 30, math.nan, 10, RngStream(0))
+    for chunk in (0, -3):   # a negative step once ran no trial and reported 0
+        with pytest.raises(ValueError, match="chunk"):
+            estimate_error(inst, 30, 1.0, 10, RngStream(0), chunk=chunk)
 
 
 def test_error_rate_decays_with_budget():
