@@ -43,13 +43,11 @@ from .instances import (
     two_tier,
 )
 from .qbai import (
-    AmplificationParams,
-    PeakRecommendation,
+    ClosedForm,
     QbaiRun,
     analytic_recommendation,
     build_operators,
     grover_step,
-    peak_recommendation,
     run_qbai,
     success_probability,
     uniform_alpha,
@@ -65,8 +63,8 @@ from .ucbe import (
 )
 
 __all__ = [
-    "AmplificationParams",
     "BanditInstance",
+    "ClosedForm",
     "ComparisonReport",
     "DegenerateInstance",
     "DimensionError",
@@ -77,7 +75,6 @@ __all__ = [
     "InvalidOperator",
     "InvariantViolation",
     "NoGoodStates",
-    "PeakRecommendation",
     "QbaiRun",
     "QbanditError",
     "RenormalizationWarning",
@@ -101,7 +98,6 @@ __all__ = [
     "load_instance",
     "marginal_over_y",
     "one_good_arm",
-    "peak_recommendation",
     "run_qbai",
     "run_ucbe",
     "save_instance",

@@ -8,6 +8,7 @@ amplification target) derives from these two tables.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -135,6 +136,10 @@ def average_regret(summary: InstanceSummary, p_rec: np.ndarray) -> float:
 
 
 def error_probability(summary: InstanceSummary, p_rec: np.ndarray) -> float:
-    """Probability the recommendation misses the optimal arm."""
+    """Probability the recommendation misses the optimal arm.
+
+    Summed over the other arms rather than taken as 1 - p[x_star], which
+    cancels to 0 once the miss falls below the rounding of 1.
+    """
     p = _check_distribution(p_rec, len(summary.a))
-    return float(1.0 - p[summary.x_star])
+    return math.fsum(np.delete(p, summary.x_star))

@@ -40,12 +40,7 @@ from .errors import (
 )
 from .hilbert import marginal_over_y
 from .instances import FAMILIES, load_instance
-from .qbai import (
-    analytic_recommendation,
-    build_operators,
-    grover_step,
-    success_probability,
-)
+from .qbai import build_operators, grover_step, success_probability
 from .ucbe import (
     RngStream,
     estimate_error,
@@ -122,19 +117,18 @@ def _cmd_simulate(cfg: RunConfig):
 
 def _cmd_analytic(cfg: RunConfig):
     inst, alpha = _load(cfg)
-    params = success_probability(inst, alpha)
+    model = success_probability(inst, alpha)
     arm_cols = [f"p{x}" for x in range(inst.n_arms)]
+    ns = np.arange(cfg.n + 1)
+    c_factor = model.c_factor(ns)
+    c_factor = [None] * len(ns) if c_factor is None else c_factor.tolist()
     rows = []
-    for n in range(cfg.n + 1):
-        amplified = math.sin((2 * n + 1) * params.theta) ** 2
-        c_factor = None
-        if params.p < 1.0:
-            c_factor = (amplified - params.p) / (params.p * (1.0 - params.p))
-        p_rec = analytic_recommendation(inst, alpha, n)
-        row = {"n": n, "amplified": amplified, "c_factor": c_factor}
-        row.update({col: float(v) for col, v in zip(arm_cols, p_rec)})
+    for n, amplified, c, p_rec in zip(ns.tolist(), model.amplified(ns).tolist(),
+                                      c_factor, model.p_rec(ns).tolist()):
+        row = {"n": n, "amplified": amplified, "c_factor": c}
+        row.update(zip(arm_cols, p_rec))
         rows.append(row)
-    extra = {"p_success": params.p, "n_star": params.n_star}
+    extra = {"p_success": model.p, "n_star": model.n_star}
     return ["n", "amplified", "c_factor", *arm_cols], rows, extra
 
 
@@ -219,22 +213,20 @@ def _cmd_scale(cfg: RunConfig):
 
 def _cmd_validate(cfg: RunConfig):
     inst, alpha = _load(cfg)
-    params = success_probability(inst, alpha)
+    model = success_probability(inst, alpha)
     max_p_dev = 0.0
     max_amp_dev = 0.0
     mask = (inst.f == 1).reshape(-1)
     for n, state in _sweep_states(cfg, inst, alpha):
-        p_rec = analytic_recommendation(inst, alpha, n)
         marg = marginal_over_y(state)
-        max_p_dev = max(max_p_dev, float(np.abs(marg - p_rec).max()))
+        max_p_dev = max(max_p_dev, float(np.abs(marg - model.p_rec(n)).max()))
         good = float(np.linalg.norm(state.amps[mask]))
-        expected = abs(math.sin((2 * n + 1) * params.theta))
-        max_amp_dev = max(max_amp_dev, abs(good - expected))
+        max_amp_dev = max(max_amp_dev, abs(good - math.sqrt(model.amplified(n))))
     row = {
         "N": inst.n_arms,
         "M": inst.n_env,
         "n_max": cfg.n,
-        "p_success": params.p,
+        "p_success": model.p,
         "max_p_deviation": max_p_dev,
         "max_amp_deviation": max_amp_dev,
     }

@@ -7,8 +7,9 @@ delta = 1 - a_star / (N * mean(a)), the failure probability left by the
 amplification ceiling under uniform arm amplitudes.  When that delta is
 exactly 0 (a single arm carries all value) the ceiling demands perfect
 confidence and no finite classical budget qualifies; the attained failure
-probability 1 - P_n_star(x_star) is used instead when it is meaningfully
-positive, and the classical column is marked not-applicable otherwise.
+probability, the mass P_n_star puts on the other arms, is used instead when
+it is meaningfully positive, and the classical column is marked
+not-applicable otherwise.
 
 `scaling_experiment` sweeps an instance family over sizes and fits the growth
 rate of n_star, the quadratic-speedup check at desk scale.
@@ -22,9 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bandits import BanditInstance, arm_values, summarize
+from .bandits import BanditInstance, error_probability, summarize
 from .errors import DegenerateInstance, InvariantViolation, NoGoodStates
-from .qbai import analytic_recommendation, run_qbai, success_probability, uniform_alpha
+from .qbai import run_qbai, success_probability, uniform_alpha
 from .ucbe import ucbe_min_rounds
 
 SIM_CAP = 4096          # largest N*M the cross-checking simulation will touch
@@ -88,13 +89,13 @@ def compare(
     reported with n_star = 0 and success 1.
     """
     n, m = inst.n_arms, inst.n_env
-    params = success_probability(inst, alpha)
+    model = success_probability(inst, alpha)
     if n == 1:
         return ComparisonReport(
             instance_id=instance_id,
             n_arms=1,
             n_env=m,
-            p_success=params.p,
+            p_success=model.p,
             n_star=0,
             qbai_success=1.0,
             delta_matched=0.0,
@@ -103,9 +104,9 @@ def compare(
             ratio=None,
             simulated=False,
         )
-    a = arm_values(inst)
+    a = model.a
     x_star = int(np.argmax(a))
-    p_rec = analytic_recommendation(inst, alpha, params.n_star)
+    p_rec = model.p_rec(model.n_star)
     qbai_success = float(p_rec[x_star])
     if int(np.argmax(p_rec)) != x_star:
         warnings.warn(
@@ -115,35 +116,35 @@ def compare(
         )
     simulated = False
     if n * m <= sim_cap:
-        run = run_qbai(inst, alpha, params.n_star)
+        run = run_qbai(inst, alpha, model.n_star)
         dev = float(np.abs(run.p_rec - p_rec).max())
         if dev > SIM_AGREE_TOL:
             raise InvariantViolation(
-                f"closed form and simulation disagree by {dev:.3e} at n={params.n_star}"
+                f"closed form and simulation disagree by {dev:.3e} at n={model.n_star}"
             )
         simulated = True
     delta_matched = max(0.0, 1.0 - a[x_star] / (n * float(a.mean())))
-    weights = np.abs(np.asarray(alpha, dtype=np.complex128)) ** 2 if alpha is not None \
-        else np.full(n, 1.0 / n)
-    is_uniform = bool(np.abs(weights - 1.0 / n).max() <= UNIFORM_ALPHA_TOL)
+    is_uniform = bool(np.abs(model.w - 1.0 / n).max() <= UNIFORM_ALPHA_TOL)
     delta_classical: float | None = None
     t_classical: int | None = None
     ratio: float | None = None
     if is_uniform:
+        summary = summarize(inst)
+        attained = error_probability(summary, p_rec)
         if delta_matched > 0.0:
             delta_classical = delta_matched
-        elif 1.0 - qbai_success >= ATTAINED_DELTA_FLOOR:
+        elif attained >= ATTAINED_DELTA_FLOOR:
             # the ceiling demands certainty; match what the run attains instead
-            delta_classical = 1.0 - qbai_success
+            delta_classical = attained
         if delta_classical is not None:
-            t_classical = ucbe_min_rounds(summarize(inst), delta_classical)
-            ratio = t_classical / max(params.n_star, 1)
+            t_classical = ucbe_min_rounds(summary, delta_classical)
+            ratio = t_classical / max(model.n_star, 1)
     return ComparisonReport(
         instance_id=instance_id,
         n_arms=n,
         n_env=m,
-        p_success=params.p,
-        n_star=params.n_star,
+        p_success=model.p,
+        n_star=model.n_star,
         qbai_success=qbai_success,
         delta_matched=delta_matched,
         delta_classical=delta_classical,

@@ -5,13 +5,18 @@ the amplification loop with exact state vectors: prepare a superposition of
 (arm, outcome) pairs weighted by the arm amplitudes alpha and the outcome
 distributions nu, then repeatedly flip the sign of rewarded pairs and reflect
 about the prepared state.  `analytic_recommendation` evaluates the closed-form
-law the loop must obey,
+law the loop must obey, held by one `ClosedForm` model: the mixture
 
-    P_n(x) = |alpha_x|^2 * (1 + (a_x - p) * C(p, n)),
-    C(p, n) = (sin((2n+1) * theta)^2 - p) / (p * (1 - p)),  sin(theta)^2 = p,
+    P_n(x) = w_x [a_x sin^2((2n+1) theta) / p + (1 - a_x) cos^2((2n+1) theta) / q],
+    w_x = |alpha_x|^2,  p = sum w a,  q = sum w (1 - a),  theta = atan2(sqrt p, sqrt q),
 
-where a_x is arm x's value and p the success mass of the prepared state.  The
-two routes agreeing to ~1e-12 is the package's central cross-check.
+where a_x is arm x's value and p the success mass of the prepared state.  It
+equals the paper's form w_x (1 + (a_x - p) C(p, n)) with
+
+    C(p, n) = sin(2n theta) sin((2n+2) theta) / (p q),
+
+but divides by neither a vanishing 1 - p nor a difference of close squares.
+The two routes agreeing to ~1e-12 is the package's central cross-check.
 
 The preparation W is the product of two Householder reflectors with phases:
 one on the agent axis whose first column is alpha, and one per arm on the
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,12 +69,63 @@ class QbaiOperators:
 
 
 @dataclass(frozen=True)
-class AmplificationParams:
-    """Success mass p of the prepared state, its angle, and the best step count."""
+class ClosedForm:
+    """The closed-form law of one instance under fixed arm amplitudes.
 
+    w are the arm weights |alpha|^2 and a the arm values; p = sum w a and
+    q = sum w (1 - a) are each summed directly, so neither inherits the
+    rounding of 1 minus the other.  n_star is the step count nearest to
+    pi / (4 theta) - 1/2, which maximizes the amplified mass over the first
+    rise; ties go to the smaller n.  Methods taking n accept an int or an
+    array of step counts and broadcast over it.
+    """
+
+    w: np.ndarray
+    a: np.ndarray
     p: float
+    q: float
     theta: float
     n_star: int
+
+    def _angle(self, n):
+        n = np.asarray(n)
+        if np.any(n < 0):
+            raise ValueError(f"step count must be non-negative, got {n.min()}")
+        return (2 * n + 1) * self.theta
+
+    @property
+    def ceiling(self) -> float:
+        """w_x* a_x* / p: the optimal arm's probability bound over all n.
+
+        x* is the true best arm (lowest index on ties); with non-uniform alpha
+        the argmax of p_rec may differ from it.
+        """
+        x_star = int(np.argmax(self.a))
+        return float(self.w[x_star] * self.a[x_star] / self.p)
+
+    def amplified(self, n):
+        """Success mass sin^2((2n+1) theta) after n steps."""
+        return np.sin(self._angle(n)) ** 2
+
+    def c_factor(self, n):
+        """C(p, n) of the paper's form; None at q = 0, where it is undefined."""
+        if self.q == 0.0:
+            return None
+        t = self.theta
+        n = np.asarray(n)
+        return np.sin(2 * n * t) * np.sin((2 * n + 2) * t) / (self.p * self.q)
+
+    def p_rec(self, n) -> np.ndarray:
+        """Recommendation law after n steps: shape (N,), or (len(n), N) for an array.
+
+        At q = 0 every step leaves the prepared state fixed, so the law is w.
+        """
+        x = self._angle(n)[..., None]
+        if self.q == 0.0:
+            return np.broadcast_to(self.w, x.shape[:-1] + self.w.shape)
+        good = self.w * self.a / self.p
+        bad = self.w * (1.0 - self.a) / self.q
+        return good * np.sin(x) ** 2 + bad * np.cos(x) ** 2
 
 
 @dataclass(frozen=True)
@@ -82,14 +137,6 @@ class QbaiRun:
     p_rec: np.ndarray    # recommendation distribution over arms
     good_amp: float      # l2 mass on rewarded (arm, outcome) pairs
     bad_amp: float
-
-
-class PeakRecommendation(NamedTuple):
-    """Best-step recommendation law: attained distribution and its ceiling."""
-
-    n_star: int
-    p_rec: np.ndarray
-    ceiling: float
 
 
 def uniform_alpha(n: int) -> np.ndarray:
@@ -108,14 +155,6 @@ def _prepare_alpha(inst: BanditInstance, alpha: np.ndarray | None) -> np.ndarray
         raise ValueError(f"alpha norm {norm!r} is not 1 within {ALPHA_TOL}")
     # exact unit norm, so the closed-form weights |alpha|^2 sum to 1
     return a / norm
-
-
-def _arm_weights(inst: BanditInstance, alpha: np.ndarray | None) -> np.ndarray:
-    # exact 1/N for the uniform default; squaring 1/sqrt(N) rounds twice and
-    # spoils the rational values the exact-case closed forms land on
-    if alpha is None:
-        return np.full(inst.n_arms, 1.0 / inst.n_arms)
-    return np.abs(_prepare_alpha(inst, alpha)) ** 2
 
 
 def build_operators(
@@ -161,26 +200,27 @@ def build_operators(
 
 def success_probability(
     inst: BanditInstance, alpha: np.ndarray | None = None
-) -> AmplificationParams:
-    """Success mass p = sum_x |alpha_x|^2 a_x, its angle, and the best step count.
+) -> ClosedForm:
+    """The closed-form model of inst under arm amplitudes alpha (uniform if None).
 
-    n_star is whichever of floor/ceil of (pi / (4 theta) - 1/2), clamped at 0,
-    maximizes the amplified mass sin((2n+1) theta)^2; ties pick the smaller n.
+    Raises NoGoodStates when no reward mass is reachable (p = 0).
     """
-    weights = _arm_weights(inst, alpha)
+    # exact 1/N for the uniform default; squaring 1/sqrt(N) rounds twice and
+    # spoils the rational values the exact-case closed forms land on
+    if alpha is None:
+        w = np.full(inst.n_arms, 1.0 / inst.n_arms)
+    else:
+        w = np.abs(_prepare_alpha(inst, alpha)) ** 2
     a = arm_values(inst)
-    p = float((weights * a).sum())
+    p = float((w * a).sum())
     if p <= 0.0:
         raise NoGoodStates("no reward mass is reachable: p = 0")
-    p = min(p, 1.0)
-    theta = math.asin(math.sqrt(p))
-    raw = math.pi / (4.0 * theta) - 0.5
-    lo = max(0, math.floor(raw))
-    hi = max(0, math.ceil(raw))
-    n_star = lo
-    if hi != lo and math.sin((2 * hi + 1) * theta) ** 2 > math.sin((2 * lo + 1) * theta) ** 2:
-        n_star = hi
-    return AmplificationParams(p=p, theta=theta, n_star=int(n_star))
+    q = float((w * (1.0 - a)).sum())
+    theta = math.atan2(math.sqrt(p), math.sqrt(q))
+    w.setflags(write=False)
+    a.setflags(write=False)
+    return ClosedForm(w=w, a=a, p=p, q=q, theta=theta,
+                      n_star=math.ceil(math.pi / (4.0 * theta) - 1.0))
 
 
 def grover_step(ops: QbaiOperators, s: StateVector) -> StateVector:
@@ -229,35 +269,6 @@ def analytic_recommendation(
 ) -> np.ndarray:
     """Closed-form recommendation distribution after n steps (no simulation).
 
-    Raises NoGoodStates at p = 0.  At p = 1 the amplified factor is constant,
-    so the n = 0 marginal |alpha|^2 is returned for every n.
+    Raises NoGoodStates at p = 0.
     """
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
-    weights = _arm_weights(inst, alpha)
-    params = success_probability(inst, alpha)
-    if params.p == 1.0:
-        return weights
-    a = arm_values(inst)
-    amplified = math.sin((2 * n + 1) * params.theta) ** 2
-    c = (amplified - params.p) / (params.p * (1.0 - params.p))
-    return weights * (1.0 + (a - params.p) * c)
-
-
-def peak_recommendation(
-    inst: BanditInstance, alpha: np.ndarray | None = None
-) -> PeakRecommendation:
-    """Recommendation law at the best step count, with its ceiling.
-
-    The ceiling |alpha_x*|^2 * a_star / p bounds the optimal arm's probability
-    over all step counts; the attained value at integer n_star sits at or just
-    below it.  x_star here is the true best arm (lowest index on ties); with
-    non-uniform alpha the argmax of p_rec may differ from it.
-    """
-    weights = _arm_weights(inst, alpha)
-    params = success_probability(inst, alpha)
-    a = arm_values(inst)
-    x_star = int(np.argmax(a))
-    ceiling = float(weights[x_star] * a[x_star] / params.p)
-    p_rec = analytic_recommendation(inst, alpha, params.n_star)
-    return PeakRecommendation(n_star=params.n_star, p_rec=p_rec, ceiling=ceiling)
+    return success_probability(inst, alpha).p_rec(n)

@@ -6,10 +6,8 @@ import numpy as np
 
 from qbandit import BanditInstance
 
-# success mass below P_MIN leaves nothing to amplify; inside (1 - P_BAND, 1)
-# the closed form divides by a vanishing 1 - p, so the generator resamples
+# success mass below P_MIN leaves nothing to amplify, so the generator resamples
 P_MIN = 1e-4
-P_BAND = 1e-9
 
 
 def four_arm_exact() -> BanditInstance:
@@ -30,9 +28,7 @@ def random_instance(
 ) -> tuple[BanditInstance, np.ndarray | None]:
     """A random instance plus arm amplitudes (None means uniform).
 
-    Resamples until the success mass sits in [P_MIN, 1 - P_BAND], except that
-    an all-rewarded table (p = 1 exactly, a fixed point of amplification) is
-    kept as its own worthwhile case.
+    Resamples until the success mass is at least P_MIN.
     """
     while True:
         n = int(rng.integers(1, n_max + 1))
@@ -47,5 +43,5 @@ def random_instance(
             alpha = raw / np.linalg.norm(raw)
             weights = np.abs(alpha) ** 2
         p = float(weights @ (nu * f).sum(axis=1))
-        if f.all() or P_MIN <= p <= 1.0 - P_BAND:
+        if p >= P_MIN:
             return BanditInstance(nu=nu, f=f), alpha

@@ -23,7 +23,6 @@ from qbandit.qbai import (
     analytic_recommendation,
     build_operators,
     grover_step,
-    peak_recommendation,
     run_qbai,
     success_probability,
 )
@@ -108,16 +107,15 @@ def test_criterion_2(sweep):
 
 @pytest.mark.parametrize("inst", exact_cases(), ids=["deterministic", "stochastic"])
 def test_criterion_3(inst):
-    params = success_probability(inst)
-    assert params.p == pytest.approx(0.25, abs=1e-15)
-    assert params.theta == pytest.approx(np.pi / 6, rel=1e-15)
-    assert params.n_star == 1
+    model = success_probability(inst)
+    assert model.p == pytest.approx(0.25, abs=1e-15)
+    assert model.theta == pytest.approx(np.pi / 6, rel=1e-15)
+    assert model.n_star == 1
 
-    peak = peak_recommendation(inst)
+    peak = model.p_rec(model.n_star)
     x_star = summarize(inst).x_star
-    assert peak.n_star == 1
-    assert peak.p_rec[x_star] == pytest.approx(1.0, abs=1e-12)
-    assert peak.p_rec[x_star] == peak.ceiling
+    assert peak[x_star] == pytest.approx(1.0, abs=1e-12)
+    assert peak[x_star] == model.ceiling
 
     run = run_qbai(inst, n=1)
     assert run.p_rec[x_star] == pytest.approx(1.0, abs=1e-12)

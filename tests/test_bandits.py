@@ -89,6 +89,13 @@ def test_regret_and_error_examples():
     assert error_probability(s, uniform) == pytest.approx(0.75, rel=1e-12)
 
 
+def test_error_probability_keeps_a_miss_below_rounding_of_one():
+    # 1 - p[x_star] would round to 0; the mass on the other arms does not
+    s = summarize(bernoulli_instance([0.5, 0.1, 0.1]))
+    p_rec = np.array([1.0, 1e-17, 2e-17])
+    assert error_probability(s, p_rec) == pytest.approx(3e-17, rel=1e-15)
+
+
 def test_recommendation_distribution_checked():
     s = summarize(bernoulli_instance([0.5, 0.1]))
     with pytest.raises(ValueError):
