@@ -130,12 +130,13 @@ def compare(
     ratio: float | None = None
     if is_uniform:
         summary = summarize(inst)
-        attained = error_probability(summary, p_rec)
         if delta_matched > 0.0:
             delta_classical = delta_matched
-        elif attained >= ATTAINED_DELTA_FLOOR:
+        else:
             # the ceiling demands certainty; match what the run attains instead
-            delta_classical = attained
+            attained = error_probability(summary, p_rec)
+            if attained >= ATTAINED_DELTA_FLOOR:
+                delta_classical = attained
         if delta_classical is not None:
             t_classical = ucbe_min_rounds(summary, delta_classical)
             ratio = t_classical / max(model.n_star, 1)

@@ -72,12 +72,12 @@ class QbaiOperators:
 class ClosedForm:
     """The closed-form law of one instance under fixed arm amplitudes.
 
-    w are the arm weights |alpha|^2 and a the arm values; p = sum w a and
-    q = sum w (1 - a) are each summed directly, so neither inherits the
-    rounding of 1 minus the other.  n_star is the step count nearest to
-    pi / (4 theta) - 1/2, which maximizes the amplified mass over the first
-    rise; ties go to the smaller n.  Methods taking n accept an int or an
-    array of step counts and broadcast over it.
+    w are the arm weights |alpha|^2 and a the arm values clipped to [0, 1];
+    p = sum w a and q = sum w (1 - a) are each summed directly, so neither
+    inherits the rounding of 1 minus the other.  n_star is the step count
+    nearest to pi / (4 theta) - 1/2, which maximizes the amplified mass over
+    the first rise; ties go to the smaller n.  Methods taking n accept an int
+    or an array of step counts and broadcast over it.
     """
 
     w: np.ndarray
@@ -122,7 +122,7 @@ class ClosedForm:
         """
         x = self._angle(n)[..., None]
         if self.q == 0.0:
-            return np.broadcast_to(self.w, x.shape[:-1] + self.w.shape)
+            return np.broadcast_to(self.w, x.shape[:-1] + self.w.shape).copy()
         good = self.w * self.a / self.p
         bad = self.w * (1.0 - self.a) / self.q
         return good * np.sin(x) ** 2 + bad * np.cos(x) ** 2
@@ -211,7 +211,9 @@ def success_probability(
         w = np.full(inst.n_arms, 1.0 / inst.n_arms)
     else:
         w = np.abs(_prepare_alpha(inst, alpha)) ** 2
-    a = arm_values(inst)
+    # a row left unrescaled may sum to 1 + 1e-9; clip so an all-rewarded arm
+    # has a = 1 exactly and q stays non-negative
+    a = np.clip(arm_values(inst), 0.0, 1.0)
     p = float((w * a).sum())
     if p <= 0.0:
         raise NoGoodStates("no reward mass is reachable: p = 0")

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from qbandit.bandits import BanditInstance
 from qbandit.cli import main
 from qbandit.instances import bernoulli_instance, save_instance
 
@@ -198,3 +199,14 @@ def test_non_finite_explore_rejected(capsys, instance_path, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "explore must be finite" in captured.err
+
+
+def test_all_rewarded_rows_above_one(capsys, tmp_path):
+    """Rows summing to 1 + 1e-10 pass unrescaled; the law must not fail on them."""
+    path = tmp_path / "inst.json"
+    nu = np.array([[0.5, 0.5000000001], [0.25, 0.7500000001]])
+    save_instance(BanditInstance(nu=nu, f=np.ones((2, 2), dtype=int)), path)
+    _, rows = run_csv(capsys, ["analytic", "--instance", str(path), "--n", "3"])
+    assert [float(r["amplified"]) for r in rows] == [1.0] * 4
+    _, rows = run_csv(capsys, ["validate", "--instance", str(path), "--n", "3"])
+    assert float(rows[0]["max_p_deviation"]) <= 1e-10

@@ -311,6 +311,33 @@ def test_all_rewarded_is_fixed_point():
         assert np.abs(run.p_rec - weights).max() <= 1e-10
 
 
+def test_all_rewarded_above_one_is_fixed_point():
+    """Rows within the normalization tolerance stay unrescaled, so an
+    all-rewarded arm can reach a = 1 + 1e-10; the model clips it to 1."""
+    nu = np.array([[0.5, 0.5000000001], [0.25, 0.7500000001]])
+    inst = BanditInstance(nu=nu, f=np.ones((2, 2), dtype=int))
+    model = success_probability(inst)
+    assert model.q == 0.0
+    assert model.n_star == 0
+    for n in (0, 1, 5):
+        p_rec = analytic_recommendation(inst, None, n)
+        assert np.array_equal(p_rec, [0.5, 0.5])
+        assert p_rec.flags.writeable
+        assert np.abs(run_qbai(inst, n=n).p_rec - p_rec).max() <= 1e-10
+    assert model.p_rec(np.arange(3)).flags.writeable
+
+
+def test_unrescaled_all_rewarded_arm_keeps_the_law_non_negative():
+    nu = np.array([[0.5, 0.5000000001], [0.5, 0.5]])
+    inst = BanditInstance(nu=nu, f=np.array([[1, 1], [1, 0]]))
+    model = success_probability(inst)
+    assert model.a.max() == 1.0
+    for n in range(6):
+        p_rec = model.p_rec(n)
+        assert p_rec.min() >= 0.0
+        assert np.abs(run_qbai(inst, n=n).p_rec - p_rec).max() <= 1e-10
+
+
 def test_period_six_at_quarter():
     # p = 1/4 gives theta = pi/6, so the rotation has period six
     inst = two_arm_stochastic()
