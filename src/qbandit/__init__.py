@@ -10,8 +10,6 @@ from .bandits import (
     BanditInstance,
     InstanceSummary,
     arm_values,
-    average_regret,
-    average_reward,
     error_probability,
     summarize,
 )
@@ -33,7 +31,7 @@ from .errors import (
     QbanditError,
     RenormalizationWarning,
 )
-from .hilbert import StateVector, apply, basis_state, marginal_over_y
+from .hilbert import StateVector, marginal_over_y
 from .instances import (
     FAMILIES,
     bernoulli_instance,
@@ -84,11 +82,7 @@ __all__ = [
     "StateVector",
     "UcbeTrace",
     "analytic_recommendation",
-    "apply",
     "arm_values",
-    "average_regret",
-    "average_reward",
-    "basis_state",
     "bernoulli_instance",
     "build_operators",
     "compare",

@@ -89,13 +89,6 @@ def arm_values(inst: BanditInstance) -> np.ndarray:
     return (inst.nu * inst.f).sum(axis=1)
 
 
-def average_reward(inst: BanditInstance, x: int) -> float:
-    """Expected reward of arm x."""
-    if not (0 <= x < inst.n_arms):
-        raise ValueError(f"arm index {x} outside range [0, {inst.n_arms})")
-    return float(np.dot(inst.nu[x], inst.f[x]))
-
-
 def summarize(inst: BanditInstance) -> InstanceSummary:
     """Arm values, optimum, gaps and hardness.
 
@@ -127,12 +120,6 @@ def _check_distribution(p_rec: np.ndarray, n: int) -> np.ndarray:
     if abs(p.sum() - 1.0) > DIST_TOL:
         raise ValueError(f"recommendation sums to {p.sum()!r}, not 1")
     return p
-
-
-def average_regret(summary: InstanceSummary, p_rec: np.ndarray) -> float:
-    """Expected gap of the recommended arm under p_rec."""
-    p = _check_distribution(p_rec, len(summary.a))
-    return float(np.dot(p, summary.delta))
 
 
 def error_probability(summary: InstanceSummary, p_rec: np.ndarray) -> float:

@@ -38,9 +38,8 @@ from .errors import (
     NoGoodStates,
     QbanditError,
 )
-from .hilbert import marginal_over_y
 from .instances import FAMILIES, load_instance
-from .qbai import build_operators, grover_step, success_probability
+from .qbai import build_operators, success_probability, sweep
 from .ucbe import (
     RngStream,
     estimate_error,
@@ -86,31 +85,21 @@ def _phase_rng(cfg: RunConfig) -> np.random.Generator | None:
     return None
 
 
-def _sweep_states(cfg: RunConfig, inst: BanditInstance, alpha):
-    """Yield (n, state) for n = 0..cfg.n without restarting the loop."""
+def _sweep(cfg: RunConfig, inst: BanditInstance, alpha):
+    """The simulated run after each of n = 0..cfg.n steps."""
     ops = build_operators(
         inst, alpha, reflection=cfg.reflection, phase_rng=_phase_rng(cfg)
     )
-    state = ops.psi0_state
-    for n in range(cfg.n + 1):
-        if n > 0:
-            state = grover_step(ops, state)
-        yield n, state
+    return sweep(ops, cfg.n)
 
 
 def _cmd_simulate(cfg: RunConfig):
     inst, alpha = _load(cfg)
-    mask = (inst.f == 1).reshape(-1)
     arm_cols = [f"p{x}" for x in range(inst.n_arms)]
     rows = []
-    for n, state in _sweep_states(cfg, inst, alpha):
-        marg = marginal_over_y(state)
-        row = {
-            "n": n,
-            "good_amp": float(np.linalg.norm(state.amps[mask])),
-            "bad_amp": float(np.linalg.norm(state.amps[~mask])),
-        }
-        row.update({col: float(v) for col, v in zip(arm_cols, marg)})
+    for run in _sweep(cfg, inst, alpha):
+        row = {"n": run.n, "good_amp": run.good_amp, "bad_amp": run.bad_amp}
+        row.update({col: float(v) for col, v in zip(arm_cols, run.p_rec)})
         rows.append(row)
     return ["n", "good_amp", "bad_amp", *arm_cols], rows, {}
 
@@ -216,12 +205,10 @@ def _cmd_validate(cfg: RunConfig):
     model = success_probability(inst, alpha)
     max_p_dev = 0.0
     max_amp_dev = 0.0
-    mask = (inst.f == 1).reshape(-1)
-    for n, state in _sweep_states(cfg, inst, alpha):
-        marg = marginal_over_y(state)
-        max_p_dev = max(max_p_dev, float(np.abs(marg - model.p_rec(n)).max()))
-        good = float(np.linalg.norm(state.amps[mask]))
-        max_amp_dev = max(max_amp_dev, abs(good - math.sqrt(model.amplified(n))))
+    for run in _sweep(cfg, inst, alpha):
+        max_p_dev = max(max_p_dev, float(np.abs(run.p_rec - model.p_rec(run.n)).max()))
+        max_amp_dev = max(max_amp_dev,
+                          abs(run.good_amp - math.sqrt(model.amplified(run.n))))
     row = {
         "N": inst.n_arms,
         "M": inst.n_env,

@@ -1,16 +1,17 @@
-"""State vectors and structured unitaries on an (agent x environment) product space.
+"""State vectors and preparation reflectors on an (agent x environment) product space.
 
 The composite space has one axis of size N for agent actions and one of size M
 for environment outcomes; basis state |x y> sits at flat index x * M + y.
-Operators are kept in structured form (sign flips, Householder preparations,
-rank-one reflections), so each is stored in O(N*M) and applied in O(N*M)
-instead of O((N*M)^2).  No dense matrix of any operator is built here; the
-dense oracle that cross-checks `apply` lives with the tests.
+`StateVector` is the validated, read-only state that crosses the package
+boundary.  `HouseholderPrep` holds one preparation unitary as a unit reflector
+and a phase per row, O(N*M) in all, checked once when it is built.  The
+amplification kernel that applies these reflectors in place lives in `qbai`;
+the dense matrices that cross-check it live with the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,34 +51,6 @@ class StateVector:
         object.__setattr__(self, "dims", (int(n), int(m)))
 
 
-def basis_state(dims: tuple[int, int], index: int = 0) -> StateVector:
-    """The computational basis state at the given flat index."""
-    n, m = dims
-    if not (0 <= index < n * m):
-        raise DimensionError(f"basis index {index} outside dims {dims}")
-    amps = np.zeros(n * m, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(dims, amps)
-
-
-@dataclass(frozen=True)
-class DiagonalSign:
-    """Phase oracle: flips the sign of every basis state selected by mask (N, M)."""
-
-    mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        mask = np.array(self.mask, dtype=bool)
-        if mask.ndim != 2:
-            raise InvalidOperator(f"mask must be 2-d (N, M), got shape {mask.shape}")
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.mask.shape
-
-
 @dataclass(frozen=True)
 class HouseholderPrep:
     """Preparation unitary W = g (I - 2 u u*) acting along one axis.
@@ -87,13 +60,16 @@ class HouseholderPrep:
     (N, M), row x reflecting the y axis of block x.  phase holds the unit
     factor g of each row of u.  I - 2 u u* is unitary and Hermitian for unit
     u, so checking |u| = 1 and |g| = 1 stands in for a Gram product, and the
-    adjoint is the same u with conjugated phases.
+    adjoint is the same u with conjugated phases.  u_conj and phase_conj are
+    those conjugates, computed once here so that no step recomputes them.
     """
 
     dims: tuple[int, int]
     axis: int
     u: np.ndarray
     phase: np.ndarray
+    u_conj: np.ndarray = field(init=False, repr=False)
+    phase_conj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, m = self.dims
@@ -115,12 +91,12 @@ class HouseholderPrep:
             raise InvalidOperator(
                 f"preparation is not unitary: max ||u| - 1|, ||g| - 1| = {dev:.3e}"
             )
-        u.setflags(write=False)
-        phase.setflags(write=False)
+        for name, value in (("u", u), ("phase", phase),
+                            ("u_conj", u.conj()), ("phase_conj", phase.conj())):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "dims", (int(n), int(m)))
         object.__setattr__(self, "axis", int(self.axis))
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "phase", phase)
 
     @classmethod
     def from_columns(
@@ -146,84 +122,6 @@ class HouseholderPrep:
         v[:, 0] += 1.0
         v /= np.linalg.norm(v, axis=1)[:, None]
         return cls(dims, axis, v, gamma.conj())
-
-
-@dataclass(frozen=True)
-class CompositeReflection:
-    """2|a><a| - I about one basis state of the composite space."""
-
-    dims: tuple[int, int]
-    anchor: int = 0
-
-    def __post_init__(self) -> None:
-        n, m = self.dims
-        if not (0 <= self.anchor < n * m):
-            raise InvalidOperator(f"anchor {self.anchor} outside dims {self.dims}")
-        object.__setattr__(self, "dims", (int(n), int(m)))
-        object.__setattr__(self, "anchor", int(self.anchor))
-
-
-@dataclass(frozen=True)
-class TensorReflection:
-    """(2|ax><ax| - I) tensor (2|ay><ay| - I), one reflection per factor."""
-
-    dims: tuple[int, int]
-    anchor_x: int = 0
-    anchor_y: int = 0
-
-    def __post_init__(self) -> None:
-        n, m = self.dims
-        if not (0 <= self.anchor_x < n and 0 <= self.anchor_y < m):
-            raise InvalidOperator(
-                f"anchors ({self.anchor_x}, {self.anchor_y}) outside dims {self.dims}"
-            )
-        object.__setattr__(self, "dims", (int(n), int(m)))
-        object.__setattr__(self, "anchor_x", int(self.anchor_x))
-        object.__setattr__(self, "anchor_y", int(self.anchor_y))
-
-
-OperatorSpec = DiagonalSign | HouseholderPrep | CompositeReflection | TensorReflection
-
-
-def apply(op: OperatorSpec, s: StateVector) -> StateVector:
-    """Apply a structured operator to a state without materializing a matrix."""
-    if op.dims != s.dims:
-        raise DimensionError(f"operator dims {op.dims} do not match state {s.dims}")
-    n, m = s.dims
-    if isinstance(op, DiagonalSign):
-        out = np.where(op.mask.reshape(-1), -s.amps, s.amps)
-    elif isinstance(op, HouseholderPrep):
-        # rows are the vectors each reflector acts on: the columns of the
-        # (N, M) amplitude table for the agent axis, its rows for the other
-        rows = s.amps.reshape(n, m)
-        if op.axis == 0:
-            rows = rows.T
-        proj = (rows * op.u.conj()).sum(axis=1)
-        out = op.phase[:, None] * (rows - 2.0 * proj[:, None] * op.u)
-        if op.axis == 0:
-            out = out.T
-        out = out.reshape(-1)
-    elif isinstance(op, CompositeReflection):
-        out = -s.amps
-        out[op.anchor] = s.amps[op.anchor]
-    elif isinstance(op, TensorReflection):
-        sign_x = np.full(n, -1.0)
-        sign_x[op.anchor_x] = 1.0
-        sign_y = np.full(m, -1.0)
-        sign_y[op.anchor_y] = 1.0
-        out = (s.amps.reshape(n, m) * np.outer(sign_x, sign_y)).reshape(-1)
-    else:
-        raise InvalidOperator(f"unknown operator kind {type(op).__name__}")
-    return StateVector(s.dims, out)
-
-
-def adjoint(op: OperatorSpec) -> OperatorSpec:
-    """The conjugate-transpose operator; sign flips and reflections are their own."""
-    if isinstance(op, (DiagonalSign, CompositeReflection, TensorReflection)):
-        return op
-    if isinstance(op, HouseholderPrep):
-        return HouseholderPrep(op.dims, op.axis, op.u, op.phase.conj())
-    raise InvalidOperator(f"unknown operator kind {type(op).__name__}")
 
 
 def marginal_over_y(s: StateVector) -> np.ndarray:

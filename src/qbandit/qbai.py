@@ -18,35 +18,31 @@ equals the paper's form w_x (1 + (a_x - p) C(p, n)) with
 but divides by neither a vanishing 1 - p nor a difference of close squares.
 The two routes agreeing to ~1e-12 is the package's central cross-check.
 
-The preparation W is the product of two Householder reflectors with phases:
-one on the agent axis whose first column is alpha, and one per arm on the
-environment axis whose first column is sqrt(nu[x]) (times random phases when
-asked).  The composite reflection W S W* = 2|psi0><psi0| - I depends on W only
-through W|0>, so any such completion gives the same loop; the tensor variant
-does depend on how the environment preparation is completed.  Operators are
-stored and applied in O(N*M).
+The simulator is one kernel.  `build_operators` computes its inputs once: the
+preparation W as two Householder reflectors with phases (one on the agent
+axis whose first column is alpha, one per arm on the environment axis whose
+first column is sqrt(nu[x]), times random phases when asked), their
+conjugates, the reward mask and the prepared state W|00>.  One step,
+W S W* O, then updates a private amplitude buffer in place in O(N*M):
+the oracle O flips the sign of rewarded pairs, and S is the anchor reflection
+about |00>.  The composite reflection W S W* = 2|psi0><psi0| - I depends on W
+only through W|0>, so any such completion gives the same loop; the tensor
+variant does depend on how the environment preparation is completed.  A
+`StateVector` is built only where a state leaves the kernel: `grover_step`,
+and each run that `run_qbai` and `sweep` read off the buffer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .bandits import BanditInstance, arm_values
-from .errors import NoGoodStates
-from .hilbert import (
-    CompositeReflection,
-    DiagonalSign,
-    HouseholderPrep,
-    StateVector,
-    TensorReflection,
-    adjoint,
-    apply,
-    basis_state,
-    marginal_over_y,
-)
+from .errors import DimensionError, NoGoodStates
+from .hilbert import HouseholderPrep, StateVector, marginal_over_y
 
 ALPHA_TOL = 1e-9
 REFLECTIONS = ("composite", "tensor")
@@ -54,17 +50,20 @@ REFLECTIONS = ("composite", "tensor")
 
 @dataclass(frozen=True)
 class QbaiOperators:
-    """The four operators of one amplification setup plus the prepared state.
+    """The kernel's inputs for one amplification setup, computed once.
 
     The preparation W = prep_env * prep_agent is held as two Householder
-    reflectors, O(N*M) in all; W* is the same reflectors with conjugated
-    phases, so no adjoint is stored.
+    reflectors with their conjugates, O(N*M) in all; W* is the same
+    reflectors with conjugated phases.  good is the (N, M) mask of rewarded
+    pairs whose sign the oracle O flips.  reflection names the anchor
+    reflection S about |00>: "composite" (2|00><00| - I) or "tensor"
+    ((2|0><0| - I) on each axis).
     """
 
     prep_agent: HouseholderPrep
     prep_env: HouseholderPrep
-    oracle: DiagonalSign
-    reflection: CompositeReflection | TensorReflection
+    good: np.ndarray
+    reflection: str
     psi0_state: StateVector
 
 
@@ -103,9 +102,21 @@ class ClosedForm:
         x_star = int(np.argmax(self.a))
         return float(self.w[x_star] * self.a[x_star] / self.p)
 
+    def _squares(self, n):
+        """sin^2 and cos^2 of (2n+1) theta.
+
+        The larger of the two is taken as 1 minus the smaller.  Squaring a
+        rounded sine next to 1 costs about 1.5 ulp; the subtraction costs
+        half an ulp plus the smaller square's error, which is small next to 1.
+        """
+        x = self._angle(n)
+        s, c = np.sin(x) ** 2, np.cos(x) ** 2
+        big = s > c
+        return np.where(big, 1.0 - c, s)[()], np.where(big, c, 1.0 - s)[()]
+
     def amplified(self, n):
         """Success mass sin^2((2n+1) theta) after n steps."""
-        return np.sin(self._angle(n)) ** 2
+        return self._squares(n)[0]
 
     def c_factor(self, n):
         """C(p, n) of the paper's form; None at q = 0, where it is undefined."""
@@ -120,12 +131,12 @@ class ClosedForm:
 
         At q = 0 every step leaves the prepared state fixed, so the law is w.
         """
-        x = self._angle(n)[..., None]
         if self.q == 0.0:
-            return np.broadcast_to(self.w, x.shape[:-1] + self.w.shape).copy()
+            return np.broadcast_to(self.w, np.shape(self._angle(n)) + self.w.shape).copy()
+        s, c = self._squares(n)
         good = self.w * self.a / self.p
         bad = self.w * (1.0 - self.a) / self.q
-        return good * np.sin(x) ** 2 + bad * np.cos(x) ** 2
+        return good * np.expand_dims(s, -1) + bad * np.expand_dims(c, -1)
 
 
 @dataclass(frozen=True)
@@ -183,18 +194,19 @@ def build_operators(
         # row-major draws: arm x takes the stream's x-th block of M values
         env_cols *= np.exp(2j * np.pi * phase_rng.random((n, m)))
     prep_env = HouseholderPrep.from_columns(dims, 1, env_cols)
-    oracle = DiagonalSign(inst.f == 1)
-    if reflection == "composite":
-        refl: CompositeReflection | TensorReflection = CompositeReflection(dims, 0)
-    else:
-        refl = TensorReflection(dims, 0, 0)
-    psi0 = apply(prep_env, apply(prep_agent, basis_state(dims, 0)))
+    amps = np.zeros((m, n), dtype=np.complex128)
+    amps[0, 0] = 1.0
+    work = np.empty_like(amps)
+    _prepare(amps, prep_agent, work)
+    _prepare(amps, prep_env, work)
+    good = inst.f == 1
+    good.setflags(write=False)
     return QbaiOperators(
         prep_agent=prep_agent,
         prep_env=prep_env,
-        oracle=oracle,
-        reflection=refl,
-        psi0_state=psi0,
+        good=good,
+        reflection=reflection,
+        psi0_state=_state(amps),
     )
 
 
@@ -225,18 +237,102 @@ def success_probability(
                       n_star=math.ceil(math.pi / (4.0 * theta) - 1.0))
 
 
+def _prepare(
+    amps: np.ndarray, prep: HouseholderPrep, work: np.ndarray, adjoint: bool = False
+) -> None:
+    """amps <- W amps (W* amps when adjoint) in place on the (M, N) buffer.
+
+    W = g (I - 2 u u*) along prep.axis; work is an (M, N) scratch buffer.
+    The buffer is outcome-major, so the agent projection u* v, a sum of N
+    terms, runs along contiguous memory and numpy sums it pairwise; along a
+    strided axis it would add one term at a time, with an error growing with
+    N.  The environment projection sums M terms across rows, elementwise.
+    """
+    if prep.axis == 0:
+        prod = np.multiply(amps, prep.u_conj, out=work)
+        np.multiply((2.0 * prod.sum(axis=1))[:, None], prep.u, out=work)
+    else:
+        prod = np.multiply(amps, prep.u_conj.T, out=work)
+        np.multiply(prep.u.T, 2.0 * prod.sum(axis=0), out=work)
+    amps -= work
+    amps *= prep.phase_conj if adjoint else prep.phase
+
+
+def _anchor(amps: np.ndarray, reflection: str) -> None:
+    """amps <- S amps in place, S the anchor reflection about |00>."""
+    if reflection == "composite":
+        keep = amps[0, 0]
+        np.negative(amps, out=amps)
+        amps[0, 0] = keep
+    else:
+        # the product of the two axes' signs is -1 on row 0 and column 0
+        # away from the anchor, and +1 everywhere else
+        np.negative(amps[0, 1:], out=amps[0, 1:])
+        np.negative(amps[1:, 0], out=amps[1:, 0])
+
+
+def _step(ops: QbaiOperators, amps: np.ndarray, work: np.ndarray) -> None:
+    """One amplification step W S W* O on the (M, N) buffer amps, in place."""
+    np.negative(amps, out=amps, where=ops.good.T)
+    _prepare(amps, ops.prep_env, work, adjoint=True)
+    _prepare(amps, ops.prep_agent, work, adjoint=True)
+    _anchor(amps, ops.reflection)
+    _prepare(amps, ops.prep_agent, work)
+    _prepare(amps, ops.prep_env, work)
+
+
+def _buffer(s: StateVector) -> np.ndarray:
+    """A private (M, N) copy of the state's amplitudes, amps[y, x] = <x y|s>."""
+    n, m = s.dims
+    return s.amps.reshape(n, m).T.copy()
+
+
+def _state(amps: np.ndarray) -> StateVector:
+    m, n = amps.shape
+    return StateVector((n, m), amps.T.reshape(-1))
+
+
 def grover_step(ops: QbaiOperators, s: StateVector) -> StateVector:
     """One amplification step: sign-flip rewarded pairs, reflect about psi0.
 
     The reflection is realized as W S W* with W the full preparation and S the
     configured anchor reflection, never as an explicit matrix.
     """
-    s = apply(ops.oracle, s)
-    s = apply(adjoint(ops.prep_env), s)
-    s = apply(adjoint(ops.prep_agent), s)
-    s = apply(ops.reflection, s)
-    s = apply(ops.prep_agent, s)
-    return apply(ops.prep_env, s)
+    if s.dims != ops.psi0_state.dims:
+        raise DimensionError(
+            f"operator dims {ops.psi0_state.dims} do not match state {s.dims}"
+        )
+    amps = _buffer(s)
+    _step(ops, amps, np.empty_like(amps))
+    return _state(amps)
+
+
+def _evolve(ops: QbaiOperators, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, amps) for n = 0..n_max, amps one private buffer stepped in place."""
+    amps = _buffer(ops.psi0_state)
+    work = np.empty_like(amps)
+    for n in range(n_max + 1):
+        if n > 0:
+            _step(ops, amps, work)
+        yield n, amps
+
+
+def _readout(ops: QbaiOperators, n: int, amps: np.ndarray) -> QbaiRun:
+    state = _state(amps)
+    good = ops.good.reshape(-1)
+    return QbaiRun(
+        n=n,
+        final_state=state,
+        p_rec=marginal_over_y(state),
+        good_amp=float(np.linalg.norm(state.amps[good])),
+        bad_amp=float(np.linalg.norm(state.amps[~good])),
+    )
+
+
+def sweep(ops: QbaiOperators, n_max: int) -> Iterator[QbaiRun]:
+    """The run after each of n = 0..n_max steps, without restarting the loop."""
+    for n, amps in _evolve(ops, n_max):
+        yield _readout(ops, n, amps)
 
 
 def run_qbai(
@@ -251,19 +347,9 @@ def run_qbai(
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
     ops = build_operators(inst, alpha, reflection=reflection, phase_rng=phase_rng)
-    s = ops.psi0_state
-    for _ in range(n):
-        s = grover_step(ops, s)
-    mask = (inst.f == 1).reshape(-1)
-    good_amp = float(np.linalg.norm(s.amps[mask]))
-    bad_amp = float(np.linalg.norm(s.amps[~mask]))
-    return QbaiRun(
-        n=int(n),
-        final_state=s,
-        p_rec=marginal_over_y(s),
-        good_amp=good_amp,
-        bad_amp=bad_amp,
-    )
+    for _, amps in _evolve(ops, n):
+        pass
+    return _readout(ops, int(n), amps)
 
 
 def analytic_recommendation(

@@ -1,24 +1,28 @@
-"""Dense-matrix oracle: each structured operator built from its definition.
+"""Dense-matrix oracle: the operators of one amplification step, built from
+their definitions.
 
-`densify` materializes the (N*M, N*M) matrix of an operator without going
-through `apply`, so multiplying by it is an independent route for checking
-the structured kernels.  It is a test oracle, not a scalable path.
+Each matrix is built from the fields of `QbaiOperators` (the reflectors and
+phases, the reward mask, the reflection name), never through the in-place
+kernel, so multiplying by it is an independent route for checking the kernel.
+It is a test oracle, not a scalable path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qbandit.errors import DimensionError, InvalidOperator
-from qbandit.hilbert import (
-    CompositeReflection,
-    DiagonalSign,
-    HouseholderPrep,
-    OperatorSpec,
-    TensorReflection,
-)
+from qbandit.errors import DimensionError
+from qbandit.hilbert import HouseholderPrep
+from qbandit.qbai import QbaiOperators
 
 DENSIFY_CAP = 4096
+
+
+def _size(dims: tuple[int, int], cap: int) -> int:
+    d = dims[0] * dims[1]
+    if d > cap:
+        raise DimensionError(f"densify cap exceeded: {d} > {cap}")
+    return d
 
 
 def _reflector(u: np.ndarray, g: complex) -> np.ndarray:
@@ -26,30 +30,42 @@ def _reflector(u: np.ndarray, g: complex) -> np.ndarray:
     return g * (np.eye(u.size, dtype=np.complex128) - 2.0 * np.outer(u, u.conj()))
 
 
-def densify(op: OperatorSpec, cap: int = DENSIFY_CAP) -> np.ndarray:
-    """Dense matrix built from the operator's definition (cross-check oracle only)."""
-    n, m = op.dims
-    d = n * m
-    if d > cap:
-        raise DimensionError(f"densify cap exceeded: {d} > {cap}")
-    if isinstance(op, DiagonalSign):
-        return np.diag(np.where(op.mask.reshape(-1), -1.0, 1.0)).astype(np.complex128)
-    if isinstance(op, HouseholderPrep):
-        if op.axis == 0:
-            agent = _reflector(op.u[0], op.phase[0])
-            return np.kron(agent, np.eye(m, dtype=np.complex128))
-        out = np.zeros((d, d), dtype=np.complex128)
-        for x in range(n):
-            out[x * m:(x + 1) * m, x * m:(x + 1) * m] = _reflector(op.u[x], op.phase[x])
+def densify(prep: HouseholderPrep, cap: int = DENSIFY_CAP) -> np.ndarray:
+    """W of one preparation on the composite space."""
+    n, m = prep.dims
+    d = _size(prep.dims, cap)
+    if prep.axis == 0:
+        agent = _reflector(prep.u[0], prep.phase[0])
+        return np.kron(agent, np.eye(m, dtype=np.complex128))
+    out = np.zeros((d, d), dtype=np.complex128)
+    for x in range(n):
+        out[x * m:(x + 1) * m, x * m:(x + 1) * m] = _reflector(prep.u[x], prep.phase[x])
+    return out
+
+
+def oracle_matrix(good: np.ndarray) -> np.ndarray:
+    """O: -1 on every rewarded pair, +1 elsewhere."""
+    return np.diag(np.where(good.reshape(-1), -1.0, 1.0)).astype(np.complex128)
+
+
+def anchor_matrix(dims: tuple[int, int], reflection: str) -> np.ndarray:
+    """S: 2|00><00| - I ("composite") or (2|0><0| - I) on each axis ("tensor")."""
+    n, m = dims
+    if reflection == "composite":
+        out = -np.eye(n * m, dtype=np.complex128)
+        out[0, 0] = 1.0
         return out
-    if isinstance(op, CompositeReflection):
-        out = -np.eye(d, dtype=np.complex128)
-        out[op.anchor, op.anchor] = 1.0
-        return out
-    if isinstance(op, TensorReflection):
-        sx = -np.eye(n, dtype=np.complex128)
-        sx[op.anchor_x, op.anchor_x] = 1.0
-        sy = -np.eye(m, dtype=np.complex128)
-        sy[op.anchor_y, op.anchor_y] = 1.0
-        return np.kron(sx, sy)
-    raise InvalidOperator(f"unknown operator kind {type(op).__name__}")
+    sx = -np.eye(n, dtype=np.complex128)
+    sx[0, 0] = 1.0
+    sy = -np.eye(m, dtype=np.complex128)
+    sy[0, 0] = 1.0
+    return np.kron(sx, sy)
+
+
+def step_matrix(ops: QbaiOperators, cap: int = DENSIFY_CAP) -> np.ndarray:
+    """W S W* O, with W = W_env W_agent."""
+    dims = ops.psi0_state.dims
+    _size(dims, cap)
+    w = densify(ops.prep_env, cap) @ densify(ops.prep_agent, cap)
+    s = anchor_matrix(dims, ops.reflection)
+    return w @ s @ w.conj().T @ oracle_matrix(ops.good)

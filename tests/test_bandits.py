@@ -9,8 +9,6 @@ from hypothesis import given, strategies as st
 from qbandit.bandits import (
     BanditInstance,
     arm_values,
-    average_regret,
-    average_reward,
     error_probability,
     summarize,
 )
@@ -51,12 +49,12 @@ def test_tables_are_frozen():
         inst.f[0, 0] = 0
 
 
-def test_arm_values_and_average_reward():
+def test_arm_values():
     inst = bernoulli_instance([0.5, 0.1, 0.1, 0.1])
-    assert np.allclose(arm_values(inst), [0.5, 0.1, 0.1, 0.1], atol=1e-15)
-    assert average_reward(inst, 0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        average_reward(inst, 4)
+    values = arm_values(inst)
+    assert np.allclose(values, [0.5, 0.1, 0.1, 0.1], atol=1e-15)
+    for x in range(inst.n_arms):
+        assert values[x] == pytest.approx(np.dot(inst.nu[x], inst.f[x]), abs=1e-15)
 
 
 def test_summarize():
@@ -81,10 +79,10 @@ def test_summarize_rejects_tied_optimum():
         summarize(bernoulli_instance([0.4, 0.4, 0.1]))
 
 
-def test_regret_and_error_examples():
+def test_error_probability_examples():
     s = summarize(bernoulli_instance([0.5, 0.1, 0.1, 0.1]))
     p_rec = np.array([0.625, 0.125, 0.125, 0.125])
-    assert average_regret(s, p_rec) == pytest.approx(0.15, rel=1e-12)
+    assert error_probability(s, p_rec) == pytest.approx(0.375, rel=1e-12)
     uniform = np.full(4, 0.25)
     assert error_probability(s, uniform) == pytest.approx(0.75, rel=1e-12)
 
@@ -99,11 +97,13 @@ def test_error_probability_keeps_a_miss_below_rounding_of_one():
 def test_recommendation_distribution_checked():
     s = summarize(bernoulli_instance([0.5, 0.1]))
     with pytest.raises(ValueError):
-        average_regret(s, np.array([0.5, 0.4]))
+        error_probability(s, np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         error_probability(s, np.array([0.5, 0.5, 0.0]))
     with pytest.raises(ValueError):
-        average_regret(s, np.array([1.5, -0.5]))
+        error_probability(s, np.array([1.5, -0.5]))
+    with pytest.raises(ValueError):
+        error_probability(s, np.array([np.nan, 1.0]))
 
 
 @given(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=8))
@@ -119,12 +119,11 @@ def test_bernoulli_values_round_trip(values):
 )
 def test_summary_properties(values):
     """Gaps are non-negative, zero exactly at the optimum, and a recommendation
-    concentrated there has no regret and no error."""
+    concentrated there has no error."""
     s = summarize(bernoulli_instance(values))
     assert s.delta[s.x_star] == 0.0
     assert np.all(s.delta >= 0.0)
     assert s.h1 > 0.0
     one_hot = np.zeros(len(values))
     one_hot[s.x_star] = 1.0
-    assert average_regret(s, one_hot) == 0.0
     assert error_probability(s, one_hot) == 0.0

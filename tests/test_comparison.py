@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,16 @@ def test_compare_non_uniform_alpha_skips_classical_columns():
     assert report.delta_matched > 0.0
     assert report.delta_classical is None
     assert report.t_classical is None
+
+
+@pytest.mark.parametrize("values", [[1.0, 0.5], [0.9, 0.6], [1.0, 0.9, 0.7, 0.6]])
+def test_compare_uniform_weights_do_not_warn(values):
+    """n_star = 0 here, so the law is w and every arm ties; rounding of the
+    mixture may pick any argmax, which is no reordering."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = compare(bernoulli_instance(values))
+    assert report.n_star == 0
 
 
 def test_compare_warns_when_weights_reorder_the_marginal():

@@ -9,16 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense import densify
+from dense import densify, oracle_matrix, step_matrix
 from helpers import four_arm_exact, random_instance, two_arm_stochastic
 from qbandit.bandits import BanditInstance, arm_values
+from qbandit.comparison import compare
 from qbandit.errors import NoGoodStates
-from qbandit.hilbert import (
-    CompositeReflection,
-    HouseholderPrep,
-    TensorReflection,
-    marginal_over_y,
-)
+from qbandit.hilbert import HouseholderPrep, marginal_over_y
 from qbandit.instances import bernoulli_instance, one_good_arm
 from qbandit.qbai import (
     analytic_recommendation,
@@ -26,6 +22,7 @@ from qbandit.qbai import (
     grover_step,
     run_qbai,
     success_probability,
+    sweep,
     uniform_alpha,
 )
 from qbandit.ucbe import RngStream
@@ -100,10 +97,10 @@ def test_build_operators_prepared_state():
     al = uniform_alpha(inst.n_arms) if alpha is None else alpha
     expected = (al[:, None] * np.sqrt(inst.nu)).reshape(-1)
     assert np.abs(ops.psi0_state.amps - expected).max() <= 1e-12
-    assert np.array_equal(ops.oracle.mask, inst.f == 1)
-    assert isinstance(ops.reflection, CompositeReflection)
+    assert np.array_equal(ops.good, inst.f == 1)
+    assert ops.reflection == "composite"
     tensor = build_operators(inst, alpha, reflection="tensor")
-    assert isinstance(tensor.reflection, TensorReflection)
+    assert tensor.reflection == "tensor"
 
 
 def test_build_operators_validation():
@@ -124,13 +121,45 @@ def test_grover_step_matches_dense_reflection(seed):
     phase_rng = RngStream(seed).generator() if seed % 2 else None
     ops = build_operators(inst, alpha, phase_rng=phase_rng)
     psi0 = ops.psi0_state.amps
-    step = (2.0 * np.outer(psi0, psi0.conj()) - np.eye(psi0.size)) @ densify(ops.oracle)
+    step = (2.0 * np.outer(psi0, psi0.conj()) - np.eye(psi0.size)) @ oracle_matrix(ops.good)
     state = ops.psi0_state
     dense = psi0
     for _ in range(20):
         state = grover_step(ops, state)
         dense = step @ dense
         assert np.abs(state.amps - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tensor_and_random_phase_steps_match_dense_oracle(seed):
+    """Through the loop the CLI sweeps with, 20 steps of every reflection
+    and phase variant equal powers of the dense W S W* O, under complex
+    alpha."""
+    rng = np.random.default_rng(500 + seed)
+    inst, _ = random_instance(rng)
+    alpha = rng.normal(size=inst.n_arms) + 1j * rng.normal(size=inst.n_arms)
+    alpha /= np.linalg.norm(alpha)
+    reflection = ("composite", "tensor")[seed % 2]
+    phase_rng = RngStream(seed).generator() if seed % 3 else None
+    ops = build_operators(inst, alpha, reflection=reflection, phase_rng=phase_rng)
+    step = step_matrix(ops)
+    dense = ops.psi0_state.amps
+    for run in sweep(ops, 20):
+        assert np.abs(run.final_state.amps - dense).max() <= 1e-12
+        dense = step @ dense
+    assert run.n == 20
+
+
+@pytest.mark.parametrize("log_n", [12, 14])
+def test_simulator_tracks_closed_form_at_large_n(log_n):
+    """One good arm among N to n_star: the kernel's agent-axis projections
+    are pairwise sums, so the law and the norm stay within 1e-13, far inside
+    the 1e-10 gate, where one-term-at-a-time sums drift by over 1e-12."""
+    inst = one_good_arm(2**log_n)
+    model = success_probability(inst)
+    run = run_qbai(inst, n=model.n_star)
+    assert np.abs(run.p_rec - model.p_rec(model.n_star)).max() <= 1e-13
+    assert abs(np.linalg.norm(run.final_state.amps) - 1.0) <= 1e-13
 
 
 def held_bytes(obj) -> int:
@@ -286,6 +315,23 @@ def test_closed_form_matches_high_precision_law(inst, steps):
             if want != 0:
                 rel = abs((mpmath.mpf(float(got[x])) - want) / want)
                 assert rel <= 1e-9, (n, int(x), float(rel))
+
+
+def test_success_next_to_one_stays_within_an_ulp():
+    """The larger of sin^2 and cos^2 is taken as 1 minus the smaller, so a
+    law value next to 1 keeps its error below 1 ulp: one good arm among 2048
+    at n_star, exact value 0.99994535945560787442..., comes out
+    0.9999453594556078 (0.60 ulp off), where squaring the rounded sine gave
+    ...077 (1.60 ulp off)."""
+    mpmath = pytest.importorskip("mpmath")
+    inst = one_good_arm(2048)
+    model = success_probability(inst)
+    exact, arms = _exact_law(inst, model.n_star)
+    got = model.p_rec(model.n_star)[0]
+    assert arms[int(np.argmax([float(v) for v in exact]))] == 0
+    ulp = np.spacing(got)
+    assert abs(mpmath.mpf(float(got)) - max(exact)) < ulp
+    assert compare(inst).qbai_success == got == 0.9999453594556078
 
 
 def test_closed_form_frozen_values():
