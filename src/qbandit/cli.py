@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .errors import (
     QbanditError,
 )
 from .instances import FAMILIES, load_instance
-from .qbai import build_operators, success_probability, sweep
+from .qbai import ClosedForm, build_operators, success_probability, sweep
 from .ucbe import (
     RngStream,
     estimate_error,
@@ -49,6 +50,8 @@ from .ucbe import (
 )
 
 VALIDATE_TOL = 1e-10
+# closed-form cells (steps x arms) evaluated per block of an analytic table
+_BLOCK_CELLS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -93,32 +96,34 @@ def _sweep(cfg: RunConfig, inst: BanditInstance, alpha):
     return sweep(ops, cfg.n)
 
 
+def _arm_cols(inst: BanditInstance) -> list[str]:
+    return [f"p{x}" for x in range(inst.n_arms)]
+
+
 def _cmd_simulate(cfg: RunConfig):
     inst, alpha = _load(cfg)
-    arm_cols = [f"p{x}" for x in range(inst.n_arms)]
-    rows = []
-    for run in _sweep(cfg, inst, alpha):
-        row = {"n": run.n, "good_amp": run.good_amp, "bad_amp": run.bad_amp}
-        row.update({col: float(v) for col, v in zip(arm_cols, run.p_rec)})
-        rows.append(row)
-    return ["n", "good_amp", "bad_amp", *arm_cols], rows, {}
+    runs = _sweep(cfg, inst, alpha)
+    rows = ((run.n, run.good_amp, run.bad_amp, *run.p_rec.tolist()) for run in runs)
+    return ["n", "good_amp", "bad_amp", *_arm_cols(inst)], rows, {}
+
+
+def _analytic_rows(model: ClosedForm, n_max: int, block: int) -> Iterator[tuple]:
+    """Rows n = 0..n_max, the closed form evaluated on block step counts at a time."""
+    for start in range(0, n_max + 1, block):
+        ns = np.arange(start, min(start + block, n_max + 1))
+        c_factor = model.c_factor(ns)
+        c_factor = [None] * len(ns) if c_factor is None else c_factor.tolist()
+        for n, amplified, c, p_rec in zip(ns.tolist(), model.amplified(ns).tolist(),
+                                          c_factor, model.p_rec(ns).tolist()):
+            yield (n, amplified, c, *p_rec)
 
 
 def _cmd_analytic(cfg: RunConfig):
     inst, alpha = _load(cfg)
     model = success_probability(inst, alpha)
-    arm_cols = [f"p{x}" for x in range(inst.n_arms)]
-    ns = np.arange(cfg.n + 1)
-    c_factor = model.c_factor(ns)
-    c_factor = [None] * len(ns) if c_factor is None else c_factor.tolist()
-    rows = []
-    for n, amplified, c, p_rec in zip(ns.tolist(), model.amplified(ns).tolist(),
-                                      c_factor, model.p_rec(ns).tolist()):
-        row = {"n": n, "amplified": amplified, "c_factor": c}
-        row.update(zip(arm_cols, p_rec))
-        rows.append(row)
+    rows = _analytic_rows(model, cfg.n, max(1, _BLOCK_CELLS // inst.n_arms))
     extra = {"p_success": model.p, "n_star": model.n_star}
-    return ["n", "amplified", "c_factor", *arm_cols], rows, extra
+    return ["n", "amplified", "c_factor", *_arm_cols(inst)], rows, extra
 
 
 def _cmd_ucbe(cfg: RunConfig):
@@ -148,27 +153,19 @@ def _cmd_ucbe(cfg: RunConfig):
         "error_bound": bound,
         "min_rounds": min_rounds,
     }
-    return list(row), [row], {}
+    return list(row), [tuple(row.values())], {}
 
 
 _COMPARE_COLS = ["N", "M", "p_success", "n_star", "qbai_success", "delta",
                  "t_classical", "ratio"]
 
 
-def _report_row(report: ComparisonReport) -> dict:
+def _report_row(report: ComparisonReport) -> tuple:
     delta = report.delta_classical
     if delta is None:
         delta = report.delta_matched
-    return {
-        "N": report.n_arms,
-        "M": report.n_env,
-        "p_success": report.p_success,
-        "n_star": report.n_star,
-        "qbai_success": report.qbai_success,
-        "delta": delta,
-        "t_classical": report.t_classical,
-        "ratio": report.ratio,
-    }
+    return (report.n_arms, report.n_env, report.p_success, report.n_star,
+            report.qbai_success, delta, report.t_classical, report.ratio)
 
 
 def _cmd_compare(cfg: RunConfig):
@@ -188,15 +185,12 @@ def _cmd_scale(cfg: RunConfig):
     if not sizes:
         raise ValueError("command 'scale' requires --sizes")
     result = scaling_experiment(FAMILIES[cfg.family], sizes, sim_cap=cfg.sim_cap)
-    rows = []
-    for sr in result.rows:
-        if sr.report is None:
-            row = dict.fromkeys(_COMPARE_COLS)
-            row.update({"N": sr.size, "simulated": None, "error": sr.error})
-        else:
-            row = _report_row(sr.report)
-            row.update({"simulated": sr.report.simulated, "error": None})
-        rows.append(row)
+    blank = (None,) * (len(_COMPARE_COLS) - 1)
+    rows = [
+        (sr.size, *blank, None, sr.error) if sr.report is None
+        else (*_report_row(sr.report), sr.report.simulated, None)
+        for sr in result.rows
+    ]
     return [*_COMPARE_COLS, "simulated", "error"], rows, {"slope": result.slope}
 
 
@@ -223,7 +217,7 @@ def _cmd_validate(cfg: RunConfig):
             f"{max_p_dev:.3e}, max amplitude deviation {max_amp_dev:.3e} "
             f"(tolerance {VALIDATE_TOL})"
         )
-    return list(row), [row], {}
+    return list(row), [tuple(row.values())], {}
 
 
 _COMMANDS = {
@@ -243,29 +237,87 @@ def _recorded_config(cfg: RunConfig) -> dict:
     return record
 
 
-def _emit(cfg: RunConfig, fieldnames: list[str], rows: list[dict], extra: dict) -> None:
+def _json_value(value) -> str:
+    """value as json.dumps writes it, for the scalar types a table holds."""
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(fh, fields: dict, fieldnames: list[str], rows: Iterable[tuple]) -> None:
+    """Write json.dumps({**fields, "rows": rows}, indent=2, sort_keys=True) and a
+    newline, one row at a time; each row is a tuple in fieldnames order."""
+    frame = json.dumps({**fields, "rows": []}, indent=2, sort_keys=True)
+    head, _, tail = frame.partition('"rows": []')
+    # one str.format template per table: keys in sorted order, each slot
+    # naming the position of its value in the row tuple
+    slots = ",\n      ".join(
+        f"{encode_basestring_ascii(name)}: {{{fieldnames.index(name)}}}"
+        for name in sorted(fieldnames)
+    )
+    template = "{{\n      " + slots + "\n    }}"
+    fh.write(head + '"rows": [')
+    sep = "\n    "
+    for row in rows:
+        fh.write(sep + template.format(*map(_json_value, row)))
+        sep = ",\n    "
+    # json.dumps writes an empty list as []
+    fh.write(("\n  ]" if sep == ",\n    " else "]") + tail + "\n")
+
+
+def _write_table(fh, cfg: RunConfig, fieldnames: list[str], rows: Iterable[tuple],
+                 extra: dict) -> None:
     timestamp = datetime.now(timezone.utc).isoformat()
     config = _recorded_config(cfg)
     if cfg.format == "json":
-        payload = {"config": config, "timestamp": timestamp, **extra, "rows": rows}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        buf = io.StringIO()
-        buf.write(f"# qbandit {__version__} {cfg.command}\n")
-        buf.write(f"# config = {json.dumps(config, sort_keys=True)}\n")
-        for key, value in extra.items():
-            buf.write(f"# {key} = {value}\n")
-        buf.write(f"# timestamp = {timestamp}\n")
-        writer = csv.DictWriter(buf, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-        text = buf.getvalue()
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        _write_json(fh, {"config": config, "timestamp": timestamp, **extra},
+                    fieldnames, rows)
+        return
+    fh.write(f"# qbandit {__version__} {cfg.command}\n")
+    fh.write(f"# config = {json.dumps(config, sort_keys=True)}\n")
+    for key, value in extra.items():
+        fh.write(f"# {key} = {value}\n")
+    fh.write(f"# timestamp = {timestamp}\n")
+    writer = csv.writer(fh)
+    writer.writerow(fieldnames)
+    writer.writerows(rows)
+
+
+def _emit(cfg: RunConfig, fieldnames: list[str], rows: Iterable[tuple], extra: dict) -> None:
+    """Write the header, then each row as it arrives, to -o or to stdout.
+
+    A failure after the -o file is opened removes the file, so no truncated
+    table is left behind; on stdout the rows already written stay written.
+    """
+    if not cfg.output:
+        _write_table(sys.stdout, cfg, fieldnames, rows, extra)
+        return
+    # opened outside the try: a file that could not be opened is not ours to remove
+    fh = open(cfg.output, "w")
+    try:
+        with fh:
+            _write_table(fh, cfg, fieldnames, rows, extra)
+    except BaseException:
+        # never unlink a device or a link such as /dev/stdout
+        if os.path.isfile(cfg.output) and not os.path.islink(cfg.output):
+            os.remove(cfg.output)
+        raise
 
 
 def run_command(cfg: RunConfig) -> int:

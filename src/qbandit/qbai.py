@@ -161,6 +161,9 @@ def _prepare_alpha(inst: BanditInstance, alpha: np.ndarray | None) -> np.ndarray
     a = np.asarray(alpha, dtype=np.complex128)
     if a.shape != (inst.n_arms,):
         raise ValueError(f"alpha has shape {a.shape}, expected ({inst.n_arms},)")
+    # a NaN norm would slip past the tolerance test below
+    if not np.isfinite(a).all():
+        raise ValueError("alpha must be finite")
     norm = np.linalg.norm(a)
     if abs(norm - 1.0) > ALPHA_TOL:
         raise ValueError(f"alpha norm {norm!r} is not 1 within {ALPHA_TOL}")

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qbandit import cli
 from qbandit.bandits import BanditInstance
 from qbandit.cli import main
+from qbandit.errors import InvariantViolation
 from qbandit.instances import bernoulli_instance, save_instance
 
 
@@ -210,3 +215,164 @@ def test_all_rewarded_rows_above_one(capsys, tmp_path):
     assert [float(r["amplified"]) for r in rows] == [1.0] * 4
     _, rows = run_csv(capsys, ["validate", "--instance", str(path), "--n", "3"])
     assert float(rows[0]["max_p_deviation"]) <= 1e-10
+
+
+def test_non_finite_alpha_rejected(capsys, tmp_path):
+    path = tmp_path / "nan-alpha.json"
+    path.write_text('{"N": 2, "M": 2, "nu": [[0.5, 0.5], [0.25, 0.75]], '
+                    '"f": [[1, 0], [1, 0]], "alpha": [NaN, 1.0]}\n')
+    for command in ("compare", "analytic"):
+        assert main([command, "--instance", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha must be finite" in captured.err
+
+
+def _failing_sweep(exc: Exception, after: int):
+    """A sweep that yields `after` real runs, then raises exc."""
+    real_sweep = cli.sweep
+
+    def failing(ops, n_max):
+        runs = real_sweep(ops, n_max)
+        for _ in range(after):
+            yield next(runs)
+        raise exc
+    return failing
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "exc, code",
+    [(ValueError("state norm is not 1"), 1), (InvariantViolation("drift"), 3)],
+    ids=["value-error", "invariant"],
+)
+def test_failure_mid_table_leaves_no_output_file(monkeypatch, capsys, instance_path,
+                                                tmp_path, fmt, exc, code):
+    monkeypatch.setattr(cli, "sweep", _failing_sweep(exc, after=3))
+    out = tmp_path / f"table.{fmt}"
+    argv = ["simulate", "--instance", instance_path, "--n", "10", "--format", fmt]
+    assert main([*argv, "-o", str(out)]) == code
+    assert not out.exists()
+    capsys.readouterr()
+    # stdout cannot be taken back: the rows written before the failure stay
+    assert main(argv) == code
+    text = capsys.readouterr().out
+    rows_written = text.count('"bad_amp": ') if fmt == "json" else text.count("\r\n") - 1
+    assert rows_written == 3
+
+
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, 1e-300, 1e300, 0.1, math.nan, math.inf, -math.inf, np.float64(0.1),
+    0, -7, 2**70, True, False, None,
+    'quote " and backslash \\', "comma, separated", "non-ASCII: θ ∑ é", "",
+])
+def test_json_value_matches_json_dumps(value):
+    assert cli._json_value(value) == json.dumps(value)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(0, 0.5, None, 0.25, 0.75, 0.0)],
+    [(n, 1.0 / (n + 1), "a\tb", 1e-300, -0.0, n * 1e300) for n in range(3)],
+], ids=["empty", "one-row", "three-rows"])
+def test_write_json_matches_json_dumps(rows):
+    """Keys sort as strings (p10 before p2); the rest of the payload goes
+    before and after the rows by key order."""
+    fieldnames = ["n", "amplified", "c_factor", "p2", "p10", "p1"]
+    fields = {"config": {"seed": 3, "sizes": [4, 8]}, "n_star": 2,
+              "timestamp": "t", "slope": None}
+    buf = io.StringIO()
+    cli._write_json(buf, fields, fieldnames, iter(rows))
+    payload = {**fields, "rows": [dict(zip(fieldnames, row)) for row in rows]}
+    assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _round_trip_commands(tmp_path, instance_path):
+    all_rewarded = tmp_path / "all-rewarded.json"
+    save_instance(BanditInstance(nu=np.array([[0.5, 0.5], [0.25, 0.75]]),
+                                 f=np.ones((2, 2), dtype=int)), all_rewarded)
+    return {
+        "simulate": ["simulate", "--instance", instance_path, "--n", "5",
+                     "--phases", "random", "--seed", "2"],
+        "analytic": ["analytic", "--instance", instance_path, "--n", "7"],
+        "analytic-q0": ["analytic", "--instance", str(all_rewarded), "--n", "3"],
+        "ucbe": ["ucbe", "--instance", instance_path, "-T", "40", "--trials", "20"],
+        "compare": ["compare", "--instance", instance_path],
+        "scale-error-row": ["scale", "--family", "two-tier", "--sizes", "0,4,8"],
+        "validate": ["validate", "--instance", instance_path, "--n", "5"],
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_tables_match_reference_encoders(tmp_path, instance_path, fmt):
+    """json.dumps(indent=2, sort_keys=True) and csv.writer re-encode every
+    table to the same bytes the streaming writer produced."""
+    for name, argv in _round_trip_commands(tmp_path, instance_path).items():
+        out = tmp_path / f"{name}.{fmt}"
+        assert main([*argv, "--format", fmt, "-o", str(out)]) == 0, name
+        text = out.read_bytes().decode()
+        if fmt == "json":
+            payload = json.loads(text)
+            assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text, name
+            assert payload["rows"], name
+            continue
+        header_end = text.index("\n", text.index("# timestamp = ")) + 1
+        body = text[header_end:]
+        buf = io.StringIO()
+        csv.writer(buf).writerows(csv.reader(io.StringIO(body, newline="")))
+        assert buf.getvalue() == body, name
+    if fmt == "json":
+        q0 = json.loads((tmp_path / "analytic-q0.json").read_text())
+        assert {row["c_factor"] for row in q0["rows"]} == {None}
+        scale = json.loads((tmp_path / "scale-error-row.json").read_text())
+        assert scale["rows"][0]["error"] == "size must be >= 1"
+
+
+@pytest.mark.parametrize("cells", [4, 12])
+def test_analytic_blocks_cover_every_step(monkeypatch, capsys, instance_path, cells):
+    """Blocks of 1 and 3 steps on four arms give the one-block table, row for row."""
+    argv = ["analytic", "--instance", instance_path, "--n", "10"]
+    _, whole = run_csv(capsys, argv)
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", cells)
+    _, blocked = run_csv(capsys, argv)
+    assert [row["n"] for row in blocked] == [str(n) for n in range(11)]
+    assert blocked == whole
+
+
+def _traced_peak(argv: list[str], n: int) -> int:
+    """Traced peak bytes of main(argv + --n n).
+
+    A warm-up run at --n 1 and a collection first, so that one-time
+    allocations (lazy imports, caches) and earlier garbage are not counted.
+    """
+    assert main([*argv, "--n", "1"]) == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--n", str(n)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_analytic_memory_stays_flat_in_n(tmp_path, instance_path):
+    """The closed-form table is streamed in blocks, so the traced peak is a
+    constant far below the 2.8 MB file; holding the table took about 24 MB."""
+    out = tmp_path / "analytic.json"
+    peak = _traced_peak(["analytic", "--instance", instance_path,
+                         "--format", "json", "-o", str(out)], 12_000)
+    assert peak < 500_000
+    assert out.stat().st_size > 2_500_000
+
+
+def test_simulate_memory_stays_flat_in_n(tmp_path):
+    """A long sweep holds one state, not a row per step; holding the
+    rows took about 3 MB here, nine times the file."""
+    path = tmp_path / "two-arm.json"
+    save_instance(bernoulli_instance([0.5, 0.25]), path)
+    out = tmp_path / "simulate.json"
+    peak = _traced_peak(["simulate", "--instance", str(path),
+                         "--format", "json", "-o", str(out)], 2_000)
+    assert peak < 400_000
+    assert out.stat().st_size > 300_000

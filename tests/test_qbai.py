@@ -113,6 +113,15 @@ def test_build_operators_validation():
         build_operators(inst, reflection="mirror")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_alpha_rejected(bad):
+    """A NaN norm passes a tolerance test, so non-finite alpha is rejected first."""
+    inst = two_arm_stochastic()
+    for build in (build_operators, success_probability):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            build(inst, np.array([bad, 1.0]))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_grover_step_matches_dense_reflection(seed):
     """W S W* O equals the dense (2|psi0><psi0| - I) O, whatever the completion."""
