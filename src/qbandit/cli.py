@@ -11,8 +11,8 @@ Subcommands:
 Every output starts with a header block carrying the full run configuration
 (seed and variant flags included), so a file can be reproduced exactly from
 its own header; only the timestamp line varies between identical runs.  Exit
-codes: 0 success, 1 validation or parse failure, 2 degenerate instance,
-3 internal invariant violation.
+codes: 0 success, 1 validation or parse failure, 2 degenerate instance or a
+budget below the arm count, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,12 +34,13 @@ from .bandits import BanditInstance, summarize
 from .comparison import SIM_CAP, ComparisonReport, compare, scaling_experiment
 from .errors import (
     DegenerateInstance,
+    InsufficientBudget,
     InvariantViolation,
     NoGoodStates,
     QbanditError,
 )
 from .instances import FAMILIES, load_instance
-from .qbai import ClosedForm, build_operators, success_probability, sweep
+from .qbai import SIM_AGREE_TOL, ClosedForm, build_operators, success_probability, sweep
 from .ucbe import (
     RngStream,
     estimate_error,
@@ -49,7 +49,6 @@ from .ucbe import (
     ucbe_min_rounds,
 )
 
-VALIDATE_TOL = 1e-10
 # closed-form cells (steps x arms) evaluated per block of an analytic table
 _BLOCK_CELLS = 1 << 10
 
@@ -211,11 +210,11 @@ def _cmd_validate(cfg: RunConfig):
         "max_p_deviation": max_p_dev,
         "max_amp_deviation": max_amp_dev,
     }
-    if max_p_dev > VALIDATE_TOL or max_amp_dev > VALIDATE_TOL:
+    if max_p_dev > SIM_AGREE_TOL or max_amp_dev > SIM_AGREE_TOL:
         raise InvariantViolation(
             f"closed form and simulator disagree: max recommendation deviation "
             f"{max_p_dev:.3e}, max amplitude deviation {max_amp_dev:.3e} "
-            f"(tolerance {VALIDATE_TOL})"
+            f"(tolerance {SIM_AGREE_TOL})"
         )
     return list(row), [tuple(row.values())], {}
 
@@ -237,45 +236,18 @@ def _recorded_config(cfg: RunConfig) -> dict:
     return record
 
 
-def _json_value(value) -> str:
-    """value as json.dumps writes it, for the scalar types a table holds."""
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _write_json(fh, fields: dict, fieldnames: list[str], rows: Iterable[tuple]) -> None:
     """Write json.dumps({**fields, "rows": rows}, indent=2, sort_keys=True) and a
     newline, one row at a time; each row is a tuple in fieldnames order."""
     frame = json.dumps({**fields, "rows": []}, indent=2, sort_keys=True)
     head, _, tail = frame.partition('"rows": []')
-    # one str.format template per table: keys in sorted order, each slot
-    # naming the position of its value in the row tuple
-    slots = ",\n      ".join(
-        f"{encode_basestring_ascii(name)}: {{{fieldnames.index(name)}}}"
-        for name in sorted(fieldnames)
-    )
-    template = "{{\n      " + slots + "\n    }}"
+    # a flat row differs from its indent=2 form only in the separators, so
+    # these separators let the C encoder write each row's body
+    encode = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
     fh.write(head + '"rows": [')
     sep = "\n    "
     for row in rows:
-        fh.write(sep + template.format(*map(_json_value, row)))
+        fh.write(sep + "{\n      " + encode(dict(zip(fieldnames, row)))[1:-1] + "\n    }")
         sep = ",\n    "
     # json.dumps writes an empty list as []
     fh.write(("\n  ]" if sep == ",\n    " else "]") + tail + "\n")
@@ -432,7 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     cfg = _config_from_args(args)
     try:
         return run_command(cfg)
-    except (DegenerateInstance, NoGoodStates) as exc:
+    except (DegenerateInstance, NoGoodStates, InsufficientBudget) as exc:
         print(f"qbandit: degenerate instance: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

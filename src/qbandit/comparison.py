@@ -25,11 +25,10 @@ import numpy as np
 
 from .bandits import BanditInstance, error_probability, summarize
 from .errors import DegenerateInstance, InvariantViolation, NoGoodStates
-from .qbai import run_qbai, success_probability, uniform_alpha
+from .qbai import SIM_AGREE_TOL, run_qbai, success_probability, uniform_alpha
 from .ucbe import ucbe_min_rounds
 
 SIM_CAP = 4096          # largest N*M the cross-checking simulation will touch
-SIM_AGREE_TOL = 1e-10
 # attained failure probabilities below this are numerically indistinguishable
 # from perfect confidence
 ATTAINED_DELTA_FLOOR = 1e-12

@@ -45,6 +45,9 @@ from .errors import DimensionError, NoGoodStates
 from .hilbert import HouseholderPrep, StateVector, marginal_over_y
 
 ALPHA_TOL = 1e-9
+# largest deviation of the simulator from the closed form before the two
+# routes count as disagreeing
+SIM_AGREE_TOL = 1e-10
 REFLECTIONS = ("composite", "tensor")
 
 

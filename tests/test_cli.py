@@ -144,6 +144,15 @@ def test_exit_code_degenerate(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+def test_exit_code_budget_below_arm_count(instance_path, capsys):
+    """Both routes to the budget check, the tuned exploration constant and an
+    explicit --explore, exit 2 as the README documents."""
+    argv = ["ucbe", "--instance", instance_path, "-T", "2", "--trials", "10"]
+    assert main(argv) == 2
+    assert main([*argv, "--explore", "1"]) == 2
+    assert capsys.readouterr().err.count("budget T=2 below arm count N=4") == 2
+
+
 def test_exit_code_invariant_violation(tmp_path, capsys):
     """The tensor-product reflection is a genuinely different operator for
     M > 1, so validating it against the closed form must fail loudly."""
@@ -267,14 +276,18 @@ def test_failure_mid_table_leaves_no_output_file(monkeypatch, capsys, instance_p
     'quote " and backslash \\', "comma, separated", "non-ASCII: θ ∑ é", "",
 ])
 def test_json_value_matches_json_dumps(value):
-    assert cli._json_value(value) == json.dumps(value)
+    buf = io.StringIO()
+    cli._write_json(buf, {"n_star": 1}, ["v"], iter([(value,)]))
+    payload = {"n_star": 1, "rows": [{"v": value}]}
+    assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("rows", [
     [],
     [(0, 0.5, None, 0.25, 0.75, 0.0)],
     [(n, 1.0 / (n + 1), "a\tb", 1e-300, -0.0, n * 1e300) for n in range(3)],
-], ids=["empty", "one-row", "three-rows"])
+    [(1, np.float64(0.1), 'x",\n      "}θ é', None, True, math.nan)],
+], ids=["empty", "one-row", "three-rows", "float64-and-separator-string"])
 def test_write_json_matches_json_dumps(rows):
     """Keys sort as strings (p10 before p2); the rest of the payload goes
     before and after the rows by key order."""
