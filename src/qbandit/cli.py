@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -40,7 +39,7 @@ from .errors import (
     QbanditError,
 )
 from .instances import FAMILIES, load_instance
-from .qbai import SIM_AGREE_TOL, ClosedForm, build_operators, success_probability, sweep
+from .qbai import ClosedForm, build_operators, cross_check, success_probability, sweep
 from .ucbe import (
     RngStream,
     estimate_error,
@@ -75,12 +74,6 @@ class RunConfig:
     output: str | None = None
 
 
-def _load(cfg: RunConfig) -> tuple[BanditInstance, np.ndarray | None]:
-    if cfg.instance is None:
-        raise ValueError(f"command '{cfg.command}' requires --instance")
-    return load_instance(cfg.instance)
-
-
 def _phase_rng(cfg: RunConfig) -> np.random.Generator | None:
     if cfg.phases == "random":
         return RngStream(cfg.seed, 0).generator()
@@ -100,7 +93,7 @@ def _arm_cols(inst: BanditInstance) -> list[str]:
 
 
 def _cmd_simulate(cfg: RunConfig):
-    inst, alpha = _load(cfg)
+    inst, alpha = load_instance(cfg.instance)
     runs = _sweep(cfg, inst, alpha)
     rows = ((run.n, run.good_amp, run.bad_amp, *run.p_rec.tolist()) for run in runs)
     return ["n", "good_amp", "bad_amp", *_arm_cols(inst)], rows, {}
@@ -118,7 +111,7 @@ def _analytic_rows(model: ClosedForm, n_max: int, block: int) -> Iterator[tuple]
 
 
 def _cmd_analytic(cfg: RunConfig):
-    inst, alpha = _load(cfg)
+    inst, alpha = load_instance(cfg.instance)
     model = success_probability(inst, alpha)
     rows = _analytic_rows(model, cfg.n, max(1, _BLOCK_CELLS // inst.n_arms))
     extra = {"p_success": model.p, "n_star": model.n_star}
@@ -126,20 +119,21 @@ def _cmd_analytic(cfg: RunConfig):
 
 
 def _cmd_ucbe(cfg: RunConfig):
-    inst, _ = _load(cfg)
+    inst, _ = load_instance(cfg.instance)
     summary = summarize(inst)
     explore = cfg.explore
     if explore is None:
         explore = tuned_explore(summary, cfg.rounds)
+    # a bad --delta fails here, before the Monte Carlo
+    min_rounds = None
+    if cfg.delta is not None:
+        min_rounds = ucbe_min_rounds(summary, cfg.delta)
     e_hat, ci = estimate_error(
         inst, cfg.rounds, explore, cfg.trials, RngStream(cfg.seed), bonus=cfg.bonus
     )
     bound = None
     if cfg.rounds > inst.n_arms:
         bound = ucbe_error_bound(summary, cfg.rounds)
-    min_rounds = None
-    if cfg.delta is not None:
-        min_rounds = ucbe_min_rounds(summary, cfg.delta)
     row = {
         "N": inst.n_arms,
         "M": inst.n_env,
@@ -168,22 +162,13 @@ def _report_row(report: ComparisonReport) -> tuple:
 
 
 def _cmd_compare(cfg: RunConfig):
-    inst, alpha = _load(cfg)
-    report = compare(inst, alpha, instance_id=cfg.instance or "", sim_cap=cfg.sim_cap)
+    inst, alpha = load_instance(cfg.instance)
+    report = compare(inst, alpha, instance_id=cfg.instance, sim_cap=cfg.sim_cap)
     return _COMPARE_COLS, [_report_row(report)], {}
 
 
 def _cmd_scale(cfg: RunConfig):
-    if cfg.family is None:
-        raise ValueError("command 'scale' requires --family")
-    if cfg.family not in FAMILIES:
-        raise ValueError(
-            f"unknown family {cfg.family!r}; available: {sorted(FAMILIES)}"
-        )
-    sizes = cfg.sizes or ()
-    if not sizes:
-        raise ValueError("command 'scale' requires --sizes")
-    result = scaling_experiment(FAMILIES[cfg.family], sizes, sim_cap=cfg.sim_cap)
+    result = scaling_experiment(FAMILIES[cfg.family], cfg.sizes, sim_cap=cfg.sim_cap)
     blank = (None,) * (len(_COMPARE_COLS) - 1)
     rows = [
         (sr.size, *blank, None, sr.error) if sr.report is None
@@ -194,14 +179,9 @@ def _cmd_scale(cfg: RunConfig):
 
 
 def _cmd_validate(cfg: RunConfig):
-    inst, alpha = _load(cfg)
+    inst, alpha = load_instance(cfg.instance)
     model = success_probability(inst, alpha)
-    max_p_dev = 0.0
-    max_amp_dev = 0.0
-    for run in _sweep(cfg, inst, alpha):
-        max_p_dev = max(max_p_dev, float(np.abs(run.p_rec - model.p_rec(run.n)).max()))
-        max_amp_dev = max(max_amp_dev,
-                          abs(run.good_amp - math.sqrt(model.amplified(run.n))))
+    max_p_dev, max_amp_dev = cross_check(model, _sweep(cfg, inst, alpha))
     row = {
         "N": inst.n_arms,
         "M": inst.n_env,
@@ -210,12 +190,6 @@ def _cmd_validate(cfg: RunConfig):
         "max_p_deviation": max_p_dev,
         "max_amp_deviation": max_amp_dev,
     }
-    if max_p_dev > SIM_AGREE_TOL or max_amp_dev > SIM_AGREE_TOL:
-        raise InvariantViolation(
-            f"closed form and simulator disagree: max recommendation deviation "
-            f"{max_p_dev:.3e}, max amplitude deviation {max_amp_dev:.3e} "
-            f"(tolerance {SIM_AGREE_TOL})"
-        )
     return list(row), [tuple(row.values())], {}
 
 
@@ -294,8 +268,6 @@ def _emit(cfg: RunConfig, fieldnames: list[str], rows: Iterable[tuple], extra: d
 
 def run_command(cfg: RunConfig) -> int:
     """Execute one configured command, writing its table; returns the exit code."""
-    if cfg.command not in _COMMANDS:
-        raise ValueError(f"unknown command {cfg.command!r}")
     fieldnames, rows, extra = _COMMANDS[cfg.command](cfg)
     _emit(cfg, fieldnames, rows, extra)
     return 0

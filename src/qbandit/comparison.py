@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bandits import BanditInstance, error_probability, summarize
-from .errors import DegenerateInstance, InvariantViolation, NoGoodStates
-from .qbai import SIM_AGREE_TOL, run_qbai, success_probability, uniform_alpha
+from .errors import DegenerateInstance, NoGoodStates
+from .qbai import cross_check, run_qbai, success_probability
 from .ucbe import ucbe_min_rounds
 
 SIM_CAP = 4096          # largest N*M the cross-checking simulation will touch
@@ -42,8 +42,9 @@ class ComparisonReport:
     delta_matched is always the ceiling-based confidence gap; delta_classical
     is the gap actually used for the classical budget (None when no finite
     budget applies, in which case t_classical and ratio are None too).
-    simulated records whether the closed-form qbai_success was cross-checked
-    by state-vector simulation (instances above the cap are closed-form only).
+    simulated records whether state-vector simulation to n_star was
+    cross-checked against the closed form, both the law and the rewarded
+    amplitude (instances above the cap are closed-form only).
     """
 
     instance_id: str
@@ -118,12 +119,7 @@ def compare(
         )
     simulated = False
     if n * m <= sim_cap:
-        run = run_qbai(inst, alpha, model.n_star)
-        dev = float(np.abs(run.p_rec - p_rec).max())
-        if dev > SIM_AGREE_TOL:
-            raise InvariantViolation(
-                f"closed form and simulation disagree by {dev:.3e} at n={model.n_star}"
-            )
+        cross_check(model, [run_qbai(inst, alpha, model.n_star)])
         simulated = True
     delta_matched = max(0.0, 1.0 - a[x_star] / (n * float(a.mean())))
     delta_classical: float | None = None
@@ -175,12 +171,7 @@ def scaling_experiment(
             continue
         try:
             inst = family(size)
-            report = compare(
-                inst,
-                uniform_alpha(inst.n_arms),
-                instance_id=f"N={size}",
-                sim_cap=sim_cap,
-            )
+            report = compare(inst, instance_id=f"N={size}", sim_cap=sim_cap)
             rows.append(ScalingRow(size=size, report=report, error=None))
         except (DegenerateInstance, NoGoodStates, ValueError) as exc:
             # instance-level problems mark the row; genuine bugs still raise

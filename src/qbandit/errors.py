@@ -6,7 +6,7 @@ class QbanditError(Exception):
 
 
 class DimensionError(QbanditError):
-    """Operator and state shapes do not line up, or a size cap was exceeded."""
+    """Operator and state shapes do not line up."""
 
 
 class InvalidOperator(QbanditError):

@@ -16,7 +16,8 @@ equals the paper's form w_x (1 + (a_x - p) C(p, n)) with
     C(p, n) = sin(2n theta) sin((2n+2) theta) / (p q),
 
 but divides by neither a vanishing 1 - p nor a difference of close squares.
-The two routes agreeing to ~1e-12 is the package's central cross-check.
+The two routes agreeing to ~1e-12 is the package's central cross-check, and
+`cross_check` is the one place that compares them.
 
 The simulator is one kernel.  `build_operators` computes its inputs once: the
 preparation W as two Householder reflectors with phases (one on the agent
@@ -36,12 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .bandits import BanditInstance, arm_values
-from .errors import DimensionError, NoGoodStates
+from .errors import DimensionError, InvariantViolation, NoGoodStates
 from .hilbert import HouseholderPrep, StateVector, marginal_over_y
 
 ALPHA_TOL = 1e-9
@@ -356,6 +357,29 @@ def run_qbai(
     for _, amps in _evolve(ops, n):
         pass
     return _readout(ops, int(n), amps)
+
+
+def cross_check(model: ClosedForm, runs: Iterable[QbaiRun]) -> tuple[float, float]:
+    """Largest deviations of the runs from the closed form: (law, amplitude).
+
+    For each run, the law deviation is max |run.p_rec - model.p_rec(run.n)|
+    and the amplitude deviation |run.good_amp - sqrt(model.amplified(run.n))|.
+    The caller picks the runs.  Raises InvariantViolation when either
+    exceeds SIM_AGREE_TOL.
+    """
+    max_p_dev = 0.0
+    max_amp_dev = 0.0
+    for run in runs:
+        max_p_dev = max(max_p_dev, float(np.abs(run.p_rec - model.p_rec(run.n)).max()))
+        max_amp_dev = max(max_amp_dev,
+                          abs(run.good_amp - math.sqrt(model.amplified(run.n))))
+    if max_p_dev > SIM_AGREE_TOL or max_amp_dev > SIM_AGREE_TOL:
+        raise InvariantViolation(
+            f"closed form and simulator disagree: max recommendation deviation "
+            f"{max_p_dev:.3e}, max amplitude deviation {max_amp_dev:.3e} "
+            f"(tolerance {SIM_AGREE_TOL})"
+        )
+    return max_p_dev, max_amp_dev
 
 
 def analytic_recommendation(

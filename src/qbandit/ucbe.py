@@ -183,23 +183,20 @@ def estimate_error(
     rng: RngStream,
     *,
     bonus: str = "per-arm",
-    chunk: int = DEFAULT_CHUNK,
 ) -> tuple[float, float]:
     """Monte Carlo misidentification rate and its 95% half-width.
 
     Trial i uses stream rng.stream + i, so the estimate is reproducible and
-    independent of chunking.  Chunks of trials run in vectorized lockstep;
-    each trial is draw-for-draw identical to run_ucbe on its own stream.
+    independent of chunking.  Chunks of DEFAULT_CHUNK trials run in vectorized
+    lockstep; each trial is draw-for-draw identical to run_ucbe on its own stream.
     """
     _check_args(inst, T, explore, bonus)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
     x_star = summarize(inst).x_star
     wrong = 0
-    for start in range(0, trials, chunk):
-        count = min(chunk, trials - start)
+    for start in range(0, trials, DEFAULT_CHUNK):
+        count = min(DEFAULT_CHUNK, trials - start)
         sums, pulls = _lockstep(inst, T, explore, rng, start, count, bonus)
         wrong += int((np.argmax(sums / pulls, axis=1) != x_star).sum())
     e_hat = wrong / trials

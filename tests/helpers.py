@@ -1,10 +1,12 @@
-"""Shared instance builders for the suite."""
+"""Shared instance builders and fault injections for the suite."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from qbandit import BanditInstance
+from qbandit import BanditInstance, comparison
 
 # success mass below P_MIN leaves nothing to amplify, so the generator resamples
 P_MIN = 1e-4
@@ -21,6 +23,17 @@ def two_arm_stochastic() -> BanditInstance:
         nu=np.array([[0.5, 0.5], [0.5, 0.5]]),
         f=np.array([[1, 0], [0, 0]]),
     )
+
+
+def perturb_compare_runs(monkeypatch, field: str) -> None:
+    """Move every run that compare simulates 1e-9 off in one QbaiRun field,
+    ten times the agreement tolerance."""
+    real_run_qbai = comparison.run_qbai
+
+    def perturbed(*args, **kwargs):
+        run = real_run_qbai(*args, **kwargs)
+        return dataclasses.replace(run, **{field: getattr(run, field) + 1e-9})
+    monkeypatch.setattr(comparison, "run_qbai", perturbed)
 
 
 def random_instance(

@@ -12,11 +12,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import perturb_compare_runs
 from qbandit import cli
 from qbandit.bandits import BanditInstance
 from qbandit.cli import main
 from qbandit.errors import InvariantViolation
-from qbandit.instances import bernoulli_instance, save_instance
+from qbandit.instances import bernoulli_instance, load_instance, save_instance
+from qbandit.qbai import build_operators, cross_check, success_probability, sweep
 
 
 @pytest.fixture()
@@ -127,6 +129,15 @@ def test_validate_reports_deviations(capsys, instance_path):
     assert float(rows[0]["max_amp_deviation"]) <= 1e-10
 
 
+def test_validate_prints_the_cross_check(capsys, instance_path):
+    """validate's row holds exactly the two deviations cross_check returns."""
+    _, rows = run_csv(capsys, ["validate", "--instance", instance_path, "--n", "30"])
+    inst, alpha = load_instance(instance_path)
+    devs = cross_check(success_probability(inst, alpha),
+                       sweep(build_operators(inst, alpha), 30))
+    assert (float(rows[0]["max_p_deviation"]), float(rows[0]["max_amp_deviation"])) == devs
+
+
 def test_exit_code_validation_failure(tmp_path, capsys):
     missing = main(["compare", "--instance", str(tmp_path / "absent.json")])
     assert missing == 1
@@ -163,6 +174,31 @@ def test_exit_code_invariant_violation(tmp_path, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
+def test_compare_and_scale_exit_3_when_the_simulator_disagrees(monkeypatch, capsys,
+                                                               instance_path):
+    """A law 1e-9 off at n_star is an internal failure, not a scale error row."""
+    perturb_compare_runs(monkeypatch, "p_rec")
+    for argv in (["compare", "--instance", instance_path],
+                 ["scale", "--family", "one-good-arm", "--sizes", "4,8"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "disagree" in captured.err
+
+
+@pytest.mark.parametrize("delta", ["1.5", "nan"])
+def test_bad_delta_rejected_before_the_monte_carlo(monkeypatch, capsys, instance_path,
+                                                   delta):
+    def no_monte_carlo(*args, **kwargs):
+        pytest.fail("estimate_error ran before --delta was checked")
+    monkeypatch.setattr(cli, "estimate_error", no_monte_carlo)
+    argv = ["ucbe", "--instance", instance_path, "-T", "120", "--delta", delta]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "delta must lie in (0, 1)" in captured.err
+
+
 def test_help_and_version_exit_clean(capsys):
     assert main(["--help"]) == 0
     assert main(["--version"]) == 0
@@ -172,6 +208,7 @@ def test_help_and_version_exit_clean(capsys):
 
 def test_unknown_family(capsys):
     assert main(["scale", "--family", "no-such-family"]) == 1
+    assert main(["scale", "--sizes", "4,8"]) == 1
     capsys.readouterr()
 
 

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import four_arm_exact
+from helpers import four_arm_exact, perturb_compare_runs
 from qbandit.comparison import compare, scaling_experiment
-from qbandit.instances import bernoulli_instance, one_good_arm
+from qbandit.errors import InvariantViolation
+from qbandit.instances import bernoulli_instance, one_good_arm, two_tier
 
 
 def test_compare_frozen_chain():
@@ -89,6 +91,26 @@ def test_compare_warns_when_weights_reorder_the_marginal():
         report = compare(inst, alpha)
     # qbai_success still reports the true best arm's probability
     assert report.qbai_success < 0.5
+
+
+@pytest.mark.parametrize("field", ["good_amp", "p_rec"])
+def test_compare_raises_when_the_simulator_disagrees(monkeypatch, field):
+    """Both the law and the rewarded amplitude at n_star are checked."""
+    perturb_compare_runs(monkeypatch, field)
+    with pytest.raises(InvariantViolation, match="disagree"):
+        compare(bernoulli_instance([0.5, 0.1, 0.1, 0.1]))
+    # above the cap nothing is simulated, so nothing can disagree
+    assert not compare(bernoulli_instance([0.5, 0.1, 0.1, 0.1]), sim_cap=1).simulated
+
+
+@pytest.mark.parametrize("family", [one_good_arm, two_tier])
+def test_scaling_rows_equal_compare(family):
+    """scale reports each size exactly as compare does on the same instance,
+    so the uniform weights are the exact 1/N, not a squared 1/sqrt(N)."""
+    sizes = (4, 8, 32, 128)
+    result = scaling_experiment(family, sizes)
+    for size, row in zip(sizes, result.rows):
+        assert dataclasses.replace(row.report, instance_id="") == compare(family(size))
 
 
 def test_scaling_experiment_shape_and_slope():

@@ -157,14 +157,13 @@ def test_run_ucbe_matches_reference_policy(bonus):
 
 
 @pytest.mark.parametrize("bonus", ["per-arm", "printed"])
-def test_estimate_error_matches_sequential_episodes(bonus):
+def test_estimate_error_matches_sequential_episodes(monkeypatch, bonus):
     """The lockstep Monte Carlo is draw-for-draw the sequential episode."""
     inst = bernoulli_instance([0.6, 0.4, 0.3])
     explore = tuned_explore(summarize(inst), 60)
     trials = 37
-    e_hat, ci = estimate_error(
-        inst, 60, explore, trials, RngStream(5, 100), bonus=bonus, chunk=10
-    )
+    monkeypatch.setattr(ucbe, "DEFAULT_CHUNK", 10)
+    e_hat, ci = estimate_error(inst, 60, explore, trials, RngStream(5, 100), bonus=bonus)
     x_star = summarize(inst).x_star
     wrong = sum(
         run_ucbe(inst, 60, explore, RngStream(5, 100 + i), bonus=bonus).recommendation
@@ -176,10 +175,12 @@ def test_estimate_error_matches_sequential_episodes(bonus):
     assert ci == pytest.approx(1.96 * math.sqrt(e_hat * (1 - e_hat) / trials))
 
 
-def test_estimate_error_is_chunk_independent():
+def test_estimate_error_is_chunk_independent(monkeypatch):
     inst = bernoulli_instance([0.6, 0.4])
-    small = estimate_error(inst, 30, 1.0, 53, RngStream(2), chunk=7)
-    large = estimate_error(inst, 30, 1.0, 53, RngStream(2), chunk=1000)
+    monkeypatch.setattr(ucbe, "DEFAULT_CHUNK", 7)
+    small = estimate_error(inst, 30, 1.0, 53, RngStream(2))
+    monkeypatch.setattr(ucbe, "DEFAULT_CHUNK", 1000)
+    large = estimate_error(inst, 30, 1.0, 53, RngStream(2))
     assert small == large
 
 
@@ -200,8 +201,8 @@ def test_block_boundaries_leave_episodes_unchanged(monkeypatch, bonus):
     assert np.array_equal(pulls, [trace.pulls for trace in whole])
     assert np.array_equal(sums / pulls, [trace.means for trace in whole])
     for chunk in (10, 4, 1000):
-        e_hat, _ = estimate_error(inst, T, explore, trials, RngStream(9), bonus=bonus,
-                                  chunk=chunk)
+        monkeypatch.setattr(ucbe, "DEFAULT_CHUNK", chunk)
+        e_hat, _ = estimate_error(inst, T, explore, trials, RngStream(9), bonus=bonus)
         assert e_hat == wrong / trials
 
     for i, trace in enumerate(whole[:5]):
@@ -244,9 +245,6 @@ def test_estimate_error_validation():
         estimate_error(inst, 1, 1.0, 10, RngStream(0))
     with pytest.raises(ValueError, match="finite"):
         estimate_error(inst, 30, math.nan, 10, RngStream(0))
-    for chunk in (0, -3):   # a negative step once ran no trial and reported 0
-        with pytest.raises(ValueError, match="chunk"):
-            estimate_error(inst, 30, 1.0, 10, RngStream(0), chunk=chunk)
 
 
 def test_error_rate_decays_with_budget():
