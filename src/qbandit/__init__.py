@@ -25,7 +25,6 @@ from .errors import (
     DimensionError,
     InstanceFormatError,
     InsufficientBudget,
-    InvalidOperator,
     InvariantViolation,
     NoGoodStates,
     QbanditError,
@@ -48,7 +47,6 @@ from .qbai import (
     grover_step,
     run_qbai,
     success_probability,
-    uniform_alpha,
 )
 from .ucbe import (
     RngStream,
@@ -70,7 +68,6 @@ __all__ = [
     "InstanceFormatError",
     "InstanceSummary",
     "InsufficientBudget",
-    "InvalidOperator",
     "InvariantViolation",
     "NoGoodStates",
     "QbaiRun",
@@ -102,6 +99,5 @@ __all__ = [
     "two_tier",
     "ucbe_error_bound",
     "ucbe_min_rounds",
-    "uniform_alpha",
     "__version__",
 ]

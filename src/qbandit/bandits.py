@@ -37,6 +37,9 @@ class BanditInstance:
             raise ValueError(f"nu must be a (N, M) table, got shape {nu.shape}")
         if f.shape != nu.shape:
             raise ValueError(f"f shape {f.shape} does not match nu shape {nu.shape}")
+        # every comparison with NaN is False, so the checks below would pass it
+        if not np.isfinite(nu).all():
+            raise ValueError("nu must be finite")
         if np.any(nu < 0):
             raise ValueError("nu has negative entries")
         if not np.isin(f, (0, 1)).all():
@@ -46,7 +49,7 @@ class BanditInstance:
         if np.any(off > NU_RENORM_TOL):
             worst = int(np.argmax(off))
             raise ValueError(
-                f"nu row {worst} sums to {sums[worst]!r}, off by more than "
+                f"nu row {worst} sums to {float(sums[worst])}, off by more than "
                 f"{NU_RENORM_TOL}"
             )
         stale = off > NU_ROW_TOL
@@ -118,7 +121,7 @@ def _check_distribution(p_rec: np.ndarray, n: int) -> np.ndarray:
     if not np.all(np.isfinite(p)) or np.any(p < -DIST_TOL):
         raise ValueError("recommendation is not a probability vector")
     if abs(p.sum() - 1.0) > DIST_TOL:
-        raise ValueError(f"recommendation sums to {p.sum()!r}, not 1")
+        raise ValueError(f"recommendation sums to {float(p.sum())}, not 1")
     return p
 
 

@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ucbe", help="Monte Carlo error of the classical baseline")
     common(p)
-    p.add_argument("-T", "--rounds", type=int, required=True, help="rounds per episode")
+    p.add_argument("-T", "--rounds", type=_count_arg, required=True,
+                   help="rounds per episode")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--explore", type=float, default=None,
                    help="exploration strength (default: tuned from the instance)")
@@ -347,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_sizes_arg,
                    default=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
                    help="comma-separated arm counts")
-    p.add_argument("--sim-cap", dest="sim_cap", type=_count_arg, default=SIM_CAP)
+    p.add_argument("--sim-cap", dest="sim_cap", type=_count_arg, default=SIM_CAP,
+                   help="largest N*M the cross-checking simulation touches")
 
     p = sub.add_parser("validate", help="closed form vs simulator; exit 3 on mismatch")
     common(p)

@@ -9,10 +9,6 @@ class DimensionError(QbanditError):
     """Operator and state shapes do not line up."""
 
 
-class InvalidOperator(QbanditError):
-    """Operator payload fails its structural checks (e.g. not unitary)."""
-
-
 class DegenerateInstance(QbanditError):
     """A suboptimal arm ties the optimum, so gap-based quantities diverge."""
 

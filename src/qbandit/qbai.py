@@ -20,17 +20,20 @@ The two routes agreeing to ~1e-12 is the package's central cross-check, and
 `cross_check` is the one place that compares them.
 
 The simulator is one kernel.  `build_operators` computes its inputs once: the
-preparation W as two Householder reflectors with phases (one on the agent
-axis whose first column is alpha, one per arm on the environment axis whose
-first column is sqrt(nu[x]), times random phases when asked), their
+preparation W as two `HouseholderPrep` reflector sets with phases (one on the
+agent axis whose first column is alpha, one per arm on the environment axis
+whose first column is sqrt(nu[x]), times random phases when asked), their
 conjugates, the reward mask and the prepared state W|00>.  One step,
-W S W* O, then updates a private amplitude buffer in place in O(N*M):
-the oracle O flips the sign of rewarded pairs, and S is the anchor reflection
-about |00>.  The composite reflection W S W* = 2|psi0><psi0| - I depends on W
-only through W|0>, so any such completion gives the same loop; the tensor
-variant does depend on how the environment preparation is completed.  A
-`StateVector` is built only where a state leaves the kernel: `grover_step`,
-and each run that `run_qbai` and `sweep` read off the buffer.
+W S W* O, then updates a private outcome-major (M, N) amplitude buffer in
+place in O(N*M): the oracle O flips the sign of rewarded pairs, and S is the
+anchor reflection about |00>.  The reflectors are stored the way that buffer
+is read: the agent reflector as one (1, N) row, the environment reflectors
+as an (M, N) array with arm x's reflector in column x.  The composite
+reflection W S W* = 2|psi0><psi0| - I depends on W only through W|0>, so any
+such completion gives the same loop; the tensor variant does depend on how
+the environment preparation is completed.  A `StateVector` is built only
+where a state leaves the kernel: `grover_step`, and each run that `run_qbai`
+and `sweep` read off the buffer.
 """
 
 from __future__ import annotations
@@ -43,13 +46,65 @@ import numpy as np
 
 from .bandits import BanditInstance, arm_values
 from .errors import DimensionError, InvariantViolation, NoGoodStates
-from .hilbert import HouseholderPrep, StateVector, marginal_over_y
+from .hilbert import StateVector, marginal_over_y
 
 ALPHA_TOL = 1e-9
 # largest deviation of the simulator from the closed form before the two
 # routes count as disagreeing
 SIM_AGREE_TOL = 1e-10
 REFLECTIONS = ("composite", "tensor")
+
+
+@dataclass(frozen=True)
+class HouseholderPrep:
+    """Preparation W = g (I - 2 u u*) along one axis of the (M, N) buffer.
+
+    Each reflector runs along buffer axis `axis`: the agent preparation
+    (axis 1) is one (1, N) row, the environment preparation (axis 0) an
+    (M, N) array whose column x reflects the outcomes of arm x.  phase holds
+    each reflector's unit factor g, shaped to broadcast against the buffer:
+    (1, 1) on the agent axis, (1, N) on the environment axis.  I - 2 u u* is
+    Hermitian, so W* is the same u with conjugated phases; u_conj and
+    phase_conj are the conjugates, computed once so that no step recomputes
+    them.
+    """
+
+    axis: int
+    u: np.ndarray
+    u_conj: np.ndarray
+    phase: np.ndarray
+    phase_conj: np.ndarray
+
+    @classmethod
+    def from_columns(cls, axis: int, columns: np.ndarray) -> HouseholderPrep:
+        """The preparation with W|0> = c for each row c of columns, normalized.
+
+        With gamma = -conj(c0)/|c0| (-1 when c0 = 0), v = e0 - gamma c and
+        u = v/|v|, the reflector maps e0 to gamma c, so g = conj(gamma)
+        restores c.  v0 = 1 + |c0| >= 1, so no column is a degenerate case.
+        Every u and g is unit by construction, so W is unitary.  The norms
+        are taken along contiguous rows, one reflector each, before each
+        reflector is laid along buffer axis `axis`.
+        """
+        c = np.array(columns, dtype=np.complex128)
+        if c.ndim != 2 or c.shape[1] < 1:
+            raise ValueError(f"columns must be a 2-d stack of rows, got shape {c.shape}")
+        norms = np.linalg.norm(c, axis=1)
+        if not (norms > 0).all():
+            raise ValueError("a column is zero")
+        c /= norms[:, None]
+        mag = np.abs(c[:, 0])
+        gamma = -np.ones(len(c), dtype=np.complex128)
+        np.divide(-c[:, 0].conj(), mag, out=gamma, where=mag > 0)
+        v = -gamma[:, None] * c
+        v[:, 0] += 1.0
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        u = np.ascontiguousarray(np.moveaxis(v, 1, axis))
+        phase = np.expand_dims(gamma.conj(), axis)
+        arrays = (u, u.conj(), phase, phase.conj())
+        for a in arrays:
+            a.setflags(write=False)
+        return cls(axis, *arrays)
 
 
 @dataclass(frozen=True)
@@ -154,14 +209,9 @@ class QbaiRun:
     bad_amp: float
 
 
-def uniform_alpha(n: int) -> np.ndarray:
-    """Equal-weight arm amplitudes."""
-    return np.full(n, 1.0 / math.sqrt(n))
-
-
 def _prepare_alpha(inst: BanditInstance, alpha: np.ndarray | None) -> np.ndarray:
     if alpha is None:
-        return uniform_alpha(inst.n_arms).astype(np.complex128)
+        return np.full(inst.n_arms, 1.0 / math.sqrt(inst.n_arms), dtype=np.complex128)
     a = np.asarray(alpha, dtype=np.complex128)
     if a.shape != (inst.n_arms,):
         raise ValueError(f"alpha has shape {a.shape}, expected ({inst.n_arms},)")
@@ -170,7 +220,7 @@ def _prepare_alpha(inst: BanditInstance, alpha: np.ndarray | None) -> np.ndarray
         raise ValueError("alpha must be finite")
     norm = np.linalg.norm(a)
     if abs(norm - 1.0) > ALPHA_TOL:
-        raise ValueError(f"alpha norm {norm!r} is not 1 within {ALPHA_TOL}")
+        raise ValueError(f"alpha norm {float(norm)} is not 1 within {ALPHA_TOL}")
     # exact unit norm, so the closed-form weights |alpha|^2 sum to 1
     return a / norm
 
@@ -194,13 +244,12 @@ def build_operators(
         raise ValueError(f"reflection must be one of {REFLECTIONS}, got {reflection!r}")
     al = _prepare_alpha(inst, alpha)
     n, m = inst.n_arms, inst.n_env
-    dims = (n, m)
-    prep_agent = HouseholderPrep.from_columns(dims, 0, al[None, :])
+    prep_agent = HouseholderPrep.from_columns(1, al[None, :])
     env_cols = np.sqrt(inst.nu).astype(np.complex128)
     if phase_rng is not None:
         # row-major draws: arm x takes the stream's x-th block of M values
         env_cols *= np.exp(2j * np.pi * phase_rng.random((n, m)))
-    prep_env = HouseholderPrep.from_columns(dims, 1, env_cols)
+    prep_env = HouseholderPrep.from_columns(0, env_cols)
     amps = np.zeros((m, n), dtype=np.complex128)
     amps[0, 0] = 1.0
     work = np.empty_like(amps)
@@ -255,13 +304,10 @@ def _prepare(
     strided axis it would add one term at a time, with an error growing with
     N.  The environment projection sums M terms across rows, elementwise.
     """
-    if prep.axis == 0:
-        prod = np.multiply(amps, prep.u_conj, out=work)
-        np.multiply((2.0 * prod.sum(axis=1))[:, None], prep.u, out=work)
-    else:
-        prod = np.multiply(amps, prep.u_conj.T, out=work)
-        np.multiply(prep.u.T, 2.0 * prod.sum(axis=0), out=work)
-    amps -= work
+    proj = np.multiply(amps, prep.u_conj, out=work).sum(axis=prep.axis, keepdims=True)
+    # u first: with fused multiply-adds a complex product rounds differently
+    # when its operands swap
+    amps -= np.multiply(prep.u, 2.0 * proj, out=work)
     amps *= prep.phase_conj if adjoint else prep.phase
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from qbandit.errors import DimensionError
-from qbandit.hilbert import HouseholderPrep
-from qbandit.qbai import QbaiOperators
+from qbandit.qbai import HouseholderPrep, QbaiOperators
 
 DENSIFY_CAP = 4096
 
@@ -30,16 +29,21 @@ def _reflector(u: np.ndarray, g: complex) -> np.ndarray:
     return g * (np.eye(u.size, dtype=np.complex128) - 2.0 * np.outer(u, u.conj()))
 
 
-def densify(prep: HouseholderPrep, cap: int = DENSIFY_CAP) -> np.ndarray:
-    """W of one preparation on the composite space."""
-    n, m = prep.dims
-    d = _size(prep.dims, cap)
-    if prep.axis == 0:
-        agent = _reflector(prep.u[0], prep.phase[0])
+def densify(prep: HouseholderPrep, dims: tuple[int, int],
+            cap: int = DENSIFY_CAP) -> np.ndarray:
+    """W of one preparation on the composite space of the given (N, M) dims.
+
+    The agent preparation (axis 1) is one reflector on x; the environment
+    preparation (axis 0) reflects the y block of arm x by column x.
+    """
+    n, m = dims
+    d = _size(dims, cap)
+    if prep.axis == 1:
+        agent = _reflector(prep.u[0], prep.phase[0, 0])
         return np.kron(agent, np.eye(m, dtype=np.complex128))
     out = np.zeros((d, d), dtype=np.complex128)
     for x in range(n):
-        out[x * m:(x + 1) * m, x * m:(x + 1) * m] = _reflector(prep.u[x], prep.phase[x])
+        out[x * m:(x + 1) * m, x * m:(x + 1) * m] = _reflector(prep.u[:, x], prep.phase[0, x])
     return out
 
 
@@ -66,6 +70,6 @@ def step_matrix(ops: QbaiOperators, cap: int = DENSIFY_CAP) -> np.ndarray:
     """W S W* O, with W = W_env W_agent."""
     dims = ops.psi0_state.dims
     _size(dims, cap)
-    w = densify(ops.prep_env, cap) @ densify(ops.prep_agent, cap)
+    w = densify(ops.prep_env, dims, cap) @ densify(ops.prep_agent, dims, cap)
     s = anchor_matrix(dims, ops.reflection)
     return w @ s @ w.conj().T @ oracle_matrix(ops.good)

@@ -27,6 +27,13 @@ def test_instance_validation():
         BanditInstance(nu=np.array([0.5, 0.5]), f=np.array([1, 0]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_nu_rejected(value):
+    """A NaN fails every comparison, so the sign and row-sum checks would pass it."""
+    with pytest.raises(ValueError, match="nu must be finite"):
+        BanditInstance(nu=np.array([[value, 0.5], [0.5, 0.5]]), f=np.array([[1, 0], [1, 0]]))
+
+
 def test_row_sum_policy():
     # within 1e-9: accepted untouched
     nu = np.array([[0.5, 0.5 + 1e-12]])

@@ -231,8 +231,9 @@ def test_alpha_in_instance_file_is_used(capsys, tmp_path):
         ["validate", "--n", "-2"],
         ["compare", "--sim-cap", "-5"],
         ["scale", "--family", "one-good-arm", "--sizes", "4,8", "--sim-cap", "-1"],
+        ["ucbe", "-T", "-5"],
     ],
-    ids=["simulate", "analytic", "validate", "compare", "scale"],
+    ids=["simulate", "analytic", "validate", "compare", "scale", "ucbe"],
 )
 def test_negative_counts_rejected(capsys, instance_path, argv):
     if argv[0] != "scale":
@@ -250,6 +251,37 @@ def test_non_finite_explore_rejected(capsys, instance_path, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "explore must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ucbe", "-T", "50", "--trials", "20", "--explore", "1.0"],
+        ["analytic"],
+        ["validate"],
+        ["compare"],
+        ["simulate"],
+    ],
+    ids=["ucbe", "analytic", "validate", "compare", "simulate"],
+)
+def test_non_finite_nu_rejected(capsys, tmp_path, argv):
+    path = tmp_path / "nan-nu.json"
+    path.write_text('{"N": 2, "M": 2, "nu": [[NaN, 0.5], [0.25, 0.75]], '
+                    '"f": [[1, 0], [1, 0]]}\n')
+    assert main([*argv, "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "field 'nu': nu must be finite" in captured.err
+
+
+def test_row_sum_message_prints_a_plain_float(capsys, tmp_path):
+    path = tmp_path / "heavy-row.json"
+    path.write_text('{"N": 2, "M": 2, "nu": [[0.6, 0.5], [0.25, 0.75]], '
+                    '"f": [[1, 0], [1, 0]]}\n')
+    assert main(["analytic", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nu row 0 sums to 1.1, off by more than" in captured.err
 
 
 def test_all_rewarded_rows_above_one(capsys, tmp_path):

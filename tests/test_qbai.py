@@ -14,16 +14,16 @@ from helpers import four_arm_exact, random_instance, two_arm_stochastic
 from qbandit.bandits import BanditInstance, arm_values
 from qbandit.comparison import compare
 from qbandit.errors import NoGoodStates
-from qbandit.hilbert import HouseholderPrep, marginal_over_y
+from qbandit.hilbert import marginal_over_y
 from qbandit.instances import bernoulli_instance, one_good_arm
 from qbandit.qbai import (
+    HouseholderPrep,
     analytic_recommendation,
     build_operators,
     grover_step,
     run_qbai,
     success_probability,
     sweep,
-    uniform_alpha,
 )
 from qbandit.ucbe import RngStream
 
@@ -31,7 +31,7 @@ from qbandit.ucbe import RngStream
 def completion(column: np.ndarray) -> np.ndarray:
     """Dense W of the Householder preparation whose first column is column."""
     c = np.asarray(column, dtype=complex)
-    return densify(HouseholderPrep.from_columns((c.size, 1), 0, c[None, :]))
+    return densify(HouseholderPrep.from_columns(1, c[None, :]), (c.size, 1))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -74,7 +74,7 @@ def test_complete_unitary_edge_columns(column):
     assert np.abs(u.conj().T @ u - np.eye(c.size)).max() <= 1e-12
     # the same columns as environment blocks, several arms at once
     stack = np.stack([c, c[::-1]])
-    env = densify(HouseholderPrep.from_columns((2, c.size), 1, stack))
+    env = densify(HouseholderPrep.from_columns(0, stack), (2, c.size))
     assert np.abs(env[:c.size, 0] - c).max() <= 1e-14
     assert np.abs(env[c.size:, c.size] - c[::-1]).max() <= 1e-14
     assert np.abs(env.conj().T @ env - np.eye(2 * c.size)).max() <= 1e-12
@@ -82,11 +82,11 @@ def test_complete_unitary_edge_columns(column):
 
 def test_complete_unitary_rejects_bad_input():
     with pytest.raises(ValueError):
-        HouseholderPrep.from_columns((3, 1), 0, np.zeros((1, 3)))
+        HouseholderPrep.from_columns(1, np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        HouseholderPrep.from_columns((2, 1), 0, np.ones(2))
+        HouseholderPrep.from_columns(1, np.ones(2))
     with pytest.raises(ValueError):
-        HouseholderPrep.from_columns((2, 2), 1, np.array([[0.6, 0.8], [0.0, 0.0]]))
+        HouseholderPrep.from_columns(0, np.array([[0.6, 0.8], [0.0, 0.0]]))
 
 
 def test_build_operators_prepared_state():
@@ -94,13 +94,33 @@ def test_build_operators_prepared_state():
     rng = np.random.default_rng(2)
     inst, alpha = random_instance(rng)
     ops = build_operators(inst, alpha)
-    al = uniform_alpha(inst.n_arms) if alpha is None else alpha
+    al = np.full(inst.n_arms, 1.0 / math.sqrt(inst.n_arms)) if alpha is None else alpha
     expected = (al[:, None] * np.sqrt(inst.nu)).reshape(-1)
     assert np.abs(ops.psi0_state.amps - expected).max() <= 1e-12
     assert np.array_equal(ops.good, inst.f == 1)
     assert ops.reflection == "composite"
     tensor = build_operators(inst, alpha, reflection="tensor")
     assert tensor.reflection == "tensor"
+
+
+def test_reflectors_are_stored_along_the_buffer():
+    """The agent reflector is one (1, N) row, the environment's an (M, N)
+    array with arm x's reflector in column x, both contiguous."""
+    rng = np.random.default_rng(6)
+    inst, alpha = random_instance(rng)
+    n, m = inst.n_arms, inst.n_env
+    ops = build_operators(inst, alpha)
+    for prep, shape, phase_shape in ((ops.prep_agent, (1, n), (1, 1)),
+                                     (ops.prep_env, (m, n), (1, n))):
+        assert prep.u.shape == prep.u_conj.shape == shape
+        assert prep.phase.shape == prep.phase_conj.shape == phase_shape
+        assert prep.u.flags.c_contiguous and prep.u_conj.flags.c_contiguous
+        assert np.abs(np.linalg.norm(prep.u, axis=prep.axis) - 1.0).max() <= 1e-14
+        assert np.abs(np.abs(prep.phase) - 1.0).max() <= 1e-14
+    # column x of the environment reflectors belongs to arm x
+    arm = int(rng.integers(n))
+    alone = build_operators(BanditInstance(nu=inst.nu[arm:arm + 1], f=inst.f[arm:arm + 1]))
+    assert np.array_equal(ops.prep_env.u[:, arm], alone.prep_env.u[:, 0])
 
 
 def test_build_operators_validation():
