@@ -30,7 +30,6 @@ from .errors import (
     QbanditError,
     RenormalizationWarning,
 )
-from .hilbert import StateVector, marginal_over_y
 from .instances import (
     FAMILIES,
     bernoulli_instance,
@@ -42,9 +41,11 @@ from .instances import (
 from .qbai import (
     ClosedForm,
     QbaiRun,
+    StateVector,
     analytic_recommendation,
     build_operators,
     grover_step,
+    marginal_over_y,
     run_qbai,
     success_probability,
 )

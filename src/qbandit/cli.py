@@ -39,8 +39,10 @@ from .errors import (
     QbanditError,
 )
 from .instances import FAMILIES, load_instance
-from .qbai import ClosedForm, build_operators, cross_check, success_probability, sweep
+from .qbai import (REFLECTIONS, ClosedForm, build_operators, cross_check,
+                   success_probability, sweep)
 from .ucbe import (
+    BONUS_VARIANTS,
     RngStream,
     estimate_error,
     tuned_explore,
@@ -313,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None,
                        help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_count_arg, default=0,
                        help="base seed for every random stream in the run")
 
     p = sub.add_parser("simulate", help="state-vector recommendation tables")
     common(p)
     p.add_argument("--n", type=_count_arg, default=10, help="largest step count in the sweep")
-    p.add_argument("--reflection", choices=("composite", "tensor"), default="composite")
+    p.add_argument("--reflection", choices=REFLECTIONS, default="composite")
     p.add_argument("--phases", choices=("real", "random"), default="real")
 
     p = sub.add_parser("analytic", help="closed-form recommendation tables")
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--explore", type=float, default=None,
                    help="exploration strength (default: tuned from the instance)")
-    p.add_argument("--bonus", choices=("per-arm", "printed"), default="per-arm")
+    p.add_argument("--bonus", choices=BONUS_VARIANTS, default="per-arm")
     p.add_argument("--delta", type=float, default=None,
                    help="also report the bound-implied minimum rounds at this confidence gap")
 
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="closed form vs simulator; exit 3 on mismatch")
     common(p)
     p.add_argument("--n", type=_count_arg, default=50, help="largest step count in the sweep")
-    p.add_argument("--reflection", choices=("composite", "tensor"), default="composite")
+    p.add_argument("--reflection", choices=REFLECTIONS, default="composite")
     p.add_argument("--phases", choices=("real", "random"), default="real")
 
     return parser

@@ -31,9 +31,15 @@ is read: the agent reflector as one (1, N) row, the environment reflectors
 as an (M, N) array with arm x's reflector in column x.  The composite
 reflection W S W* = 2|psi0><psi0| - I depends on W only through W|0>, so any
 such completion gives the same loop; the tensor variant does depend on how
-the environment preparation is completed.  A `StateVector` is built only
-where a state leaves the kernel: `grover_step`, and each run that `run_qbai`
-and `sweep` read off the buffer.
+the environment preparation is completed.
+
+This module alone knows the amplitude layout.  A `StateVector` is the
+validated, read-only x-major state that crosses the package boundary,
+amps[x * M + y] = <x y|s>, and `marginal_over_y` reads the arm law off it.
+A `StateVector` is built only where a state leaves the kernel:
+`grover_step` and the prepared state `psi0_state`.  `run_qbai` and `sweep`
+read each run straight off the buffer, summing each arm's law and each
+masked norm in the same order as they would on a `StateVector`.
 """
 
 from __future__ import annotations
@@ -46,13 +52,56 @@ import numpy as np
 
 from .bandits import BanditInstance, arm_values
 from .errors import DimensionError, InvariantViolation, NoGoodStates
-from .hilbert import StateVector, marginal_over_y
 
 ALPHA_TOL = 1e-9
 # largest deviation of the simulator from the closed form before the two
 # routes count as disagreeing
 SIM_AGREE_TOL = 1e-10
 REFLECTIONS = ("composite", "tensor")
+# States must arrive normalized; applications keep them that way to ~1e-15.
+STATE_NORM_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Normalized complex amplitudes over the composite basis.
+
+    dims is (N, M); amps has length N * M with amps[x * M + y] = <x y|s>.
+    """
+
+    dims: tuple[int, int]
+    amps: np.ndarray
+
+    def __post_init__(self) -> None:
+        n, m = self.dims
+        if n < 1 or m < 1:
+            raise DimensionError(f"dims must be positive, got {self.dims}")
+        amps = np.array(self.amps, dtype=np.complex128)
+        if amps.shape != (n * m,):
+            raise DimensionError(
+                f"amplitude vector has shape {amps.shape}, expected ({n * m},)"
+            )
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > STATE_NORM_TOL:
+            raise ValueError(f"state norm {float(norm)} is not 1 within {STATE_NORM_TOL}")
+        amps.setflags(write=False)
+        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "dims", (int(n), int(m)))
+
+
+def _arm_law(xm: np.ndarray) -> np.ndarray:
+    """Probability of each arm from (N, M) amplitudes xm[x, y] = <x y|s>.
+
+    order="C" lays each arm's M terms along one contiguous row, so numpy sums
+    them pairwise whatever the layout of xm; a transposed buffer summed in
+    place would add them one term at a time and round differently.
+    """
+    return (np.abs(xm, order="C") ** 2).sum(axis=1)
+
+
+def marginal_over_y(s: StateVector) -> np.ndarray:
+    """Probability of each agent action after discarding the environment axis."""
+    return _arm_law(s.amps.reshape(s.dims))
 
 
 @dataclass(frozen=True)
@@ -200,12 +249,16 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class QbaiRun:
-    """Result of simulating n amplification steps."""
+    """Result of simulating n amplification steps.
+
+    n is the step count; p_rec the recommendation law over arms, shape (N,);
+    good_amp and bad_amp the l2 norms of the state on the rewarded and the
+    unrewarded (arm, outcome) pairs.
+    """
 
     n: int
-    final_state: StateVector
-    p_rec: np.ndarray    # recommendation distribution over arms
-    good_amp: float      # l2 mass on rewarded (arm, outcome) pairs
+    p_rec: np.ndarray
+    good_amp: float
     bad_amp: float
 
 
@@ -371,14 +424,17 @@ def _evolve(ops: QbaiOperators, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def _readout(ops: QbaiOperators, n: int, amps: np.ndarray) -> QbaiRun:
-    state = _state(amps)
-    good = ops.good.reshape(-1)
+    """The run read off the (M, N) buffer, without building a `StateVector`.
+
+    A boolean index on the (N, M) view picks its terms in x-major order, the
+    order of a `StateVector`'s amplitudes, so each norm sums the same sequence.
+    """
+    xm = amps.T
     return QbaiRun(
         n=n,
-        final_state=state,
-        p_rec=marginal_over_y(state),
-        good_amp=float(np.linalg.norm(state.amps[good])),
-        bad_amp=float(np.linalg.norm(state.amps[~good])),
+        p_rec=_arm_law(xm),
+        good_amp=float(np.linalg.norm(xm[ops.good])),
+        bad_amp=float(np.linalg.norm(xm[~ops.good])),
     )
 
 
@@ -396,7 +452,7 @@ def run_qbai(
     reflection: str = "composite",
     phase_rng: np.random.Generator | None = None,
 ) -> QbaiRun:
-    """Simulate n amplification steps and read the arm marginal off the state."""
+    """Simulate n amplification steps and read the run off the kernel's buffer."""
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
     ops = build_operators(inst, alpha, reflection=reflection, phase_rng=phase_rng)

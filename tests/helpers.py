@@ -8,8 +8,8 @@ import numpy as np
 
 from qbandit import BanditInstance, comparison
 
-# success mass below P_MIN leaves nothing to amplify, so the generator resamples
-P_MIN = 1e-4
+# share of random instances whose rewarded mass is scaled down to a tiny p
+TINY_P_SHARE = 0.25
 
 
 def four_arm_exact() -> BanditInstance:
@@ -41,7 +41,10 @@ def random_instance(
 ) -> tuple[BanditInstance, np.ndarray | None]:
     """A random instance plus arm amplitudes (None means uniform).
 
-    Resamples until the success mass is at least P_MIN.
+    About one draw in four has its rewarded mass scaled down to p = 10^-k,
+    k uniform in 1..12: every arm's rewarded outcomes shrink by one factor and
+    its unrewarded ones grow to keep the row's sum.  A draw with p = 0 has
+    nothing to amplify and is resampled.
     """
     while True:
         n = int(rng.integers(1, n_max + 1))
@@ -55,6 +58,15 @@ def random_instance(
             raw = rng.normal(size=n) + 1j * rng.normal(size=n)
             alpha = raw / np.linalg.norm(raw)
             weights = np.abs(alpha) ** 2
-        p = float(weights @ (nu * f).sum(axis=1))
-        if p >= P_MIN:
-            return BanditInstance(nu=nu, f=f), alpha
+        values = (nu * f).sum(axis=1)
+        p = float(weights @ values)
+        if p == 0.0:
+            continue
+        if rng.random() < TINY_P_SHARE:
+            target = 10.0 ** -int(rng.integers(1, 13))
+            rest = (nu * (1 - f)).sum(axis=1)
+            # an arm with every outcome rewarded has nothing to grow
+            if target < p and (rest > 0).all():
+                c = target / p
+                nu = nu * np.where(f == 1, c, ((1.0 - c * values) / rest)[:, None])
+        return BanditInstance(nu=nu, f=f), alpha

@@ -17,12 +17,12 @@ import pytest
 from qbandit.bandits import summarize
 from qbandit.cli import main
 from qbandit.comparison import scaling_experiment
-from qbandit.hilbert import marginal_over_y
 from qbandit.instances import FAMILIES, bernoulli_instance, save_instance
 from qbandit.qbai import (
     analytic_recommendation,
     build_operators,
     grover_step,
+    marginal_over_y,
     run_qbai,
     success_probability,
 )

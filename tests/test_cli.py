@@ -232,8 +232,12 @@ def test_alpha_in_instance_file_is_used(capsys, tmp_path):
         ["compare", "--sim-cap", "-5"],
         ["scale", "--family", "one-good-arm", "--sizes", "4,8", "--sim-cap", "-1"],
         ["ucbe", "-T", "-5"],
+        ["analytic", "--seed", "-1"],
+        ["simulate", "--seed", "-1"],
+        ["scale", "--family", "one-good-arm", "--sizes", "4,8", "--seed", "-1"],
     ],
-    ids=["simulate", "analytic", "validate", "compare", "scale", "ucbe"],
+    ids=["simulate", "analytic", "validate", "compare", "scale", "ucbe",
+         "seed-analytic", "seed-simulate", "seed-scale"],
 )
 def test_negative_counts_rejected(capsys, instance_path, argv):
     if argv[0] != "scale":

@@ -14,13 +14,13 @@ from helpers import four_arm_exact, random_instance, two_arm_stochastic
 from qbandit.bandits import BanditInstance, arm_values
 from qbandit.comparison import compare
 from qbandit.errors import NoGoodStates
-from qbandit.hilbert import marginal_over_y
 from qbandit.instances import bernoulli_instance, one_good_arm
 from qbandit.qbai import (
     HouseholderPrep,
     analytic_recommendation,
     build_operators,
     grover_step,
+    marginal_over_y,
     run_qbai,
     success_probability,
     sweep,
@@ -161,9 +161,8 @@ def test_grover_step_matches_dense_reflection(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_tensor_and_random_phase_steps_match_dense_oracle(seed):
-    """Through the loop the CLI sweeps with, 20 steps of every reflection
-    and phase variant equal powers of the dense W S W* O, under complex
-    alpha."""
+    """20 steps of every reflection and phase variant equal powers of the
+    dense W S W* O, under complex alpha."""
     rng = np.random.default_rng(500 + seed)
     inst, _ = random_instance(rng)
     alpha = rng.normal(size=inst.n_arms) + 1j * rng.normal(size=inst.n_arms)
@@ -172,11 +171,12 @@ def test_tensor_and_random_phase_steps_match_dense_oracle(seed):
     phase_rng = RngStream(seed).generator() if seed % 3 else None
     ops = build_operators(inst, alpha, reflection=reflection, phase_rng=phase_rng)
     step = step_matrix(ops)
-    dense = ops.psi0_state.amps
-    for run in sweep(ops, 20):
-        assert np.abs(run.final_state.amps - dense).max() <= 1e-12
+    state = ops.psi0_state
+    dense = state.amps
+    for _ in range(20):
+        state = grover_step(ops, state)
         dense = step @ dense
-    assert run.n == 20
+        assert np.abs(state.amps - dense).max() <= 1e-12
 
 
 @pytest.mark.parametrize("log_n", [12, 14])
@@ -188,7 +188,7 @@ def test_simulator_tracks_closed_form_at_large_n(log_n):
     model = success_probability(inst)
     run = run_qbai(inst, n=model.n_star)
     assert np.abs(run.p_rec - model.p_rec(model.n_star)).max() <= 1e-13
-    assert abs(np.linalg.norm(run.final_state.amps) - 1.0) <= 1e-13
+    assert abs(math.hypot(run.good_amp, run.bad_amp) - 1.0) <= 1e-13
 
 
 def held_bytes(obj) -> int:
@@ -465,10 +465,11 @@ def test_peak_dominates_first_rise_and_ceiling_bounds_everything():
         model = success_probability(inst)
         x_star = int(np.argmax(arm_values(inst)))
         peak = model.p_rec(model.n_star)[x_star]
-        # up to the first peak the optimal arm's probability only grows
-        for n in range(model.n_star + 1):
-            p_n = analytic_recommendation(inst, None, n)[x_star]
-            assert peak + 1e-12 >= p_n
+        # up to the first peak the optimal arm's probability only grows; a
+        # tiny p puts that peak ~1/sqrt(p) steps out, so take blocks of steps
+        for start in range(0, model.n_star + 1, 4096):
+            ns = np.arange(start, min(start + 4096, model.n_star + 1))
+            assert (peak + 1e-12 >= model.p_rec(ns)[:, x_star]).all()
         # the ceiling bounds every step count, not just the first rise
         for n in range(51):
             p_n = analytic_recommendation(inst, None, n)[x_star]
@@ -479,6 +480,27 @@ def test_run_qbai_validation_and_state():
     with pytest.raises(ValueError):
         run_qbai(four_arm_exact(), n=-1)
     run = run_qbai(four_arm_exact(), n=3)
-    assert abs(np.linalg.norm(run.final_state.amps) - 1.0) <= 1e-12
     assert run.good_amp**2 + run.bad_amp**2 == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(run.p_rec - marginal_over_y(run.final_state)).max() == 0.0
+
+
+@pytest.mark.parametrize("m", [2, 16])
+def test_readout_matches_the_state_bit_for_bit(m):
+    """Each run sweep reads off the kernel's buffer equals, bit for bit, what
+    the StateVector that grover_step reaches gives.  At M = 16 numpy sums an
+    arm's terms pairwise only along a contiguous row, so a readout summing
+    across the buffer's rows would round differently."""
+    rng = np.random.default_rng(40 + m)
+    inst = BanditInstance(nu=rng.dirichlet(np.ones(m), size=5),
+                          f=(rng.random((5, m)) < 0.5).astype(int))
+    alpha = rng.normal(size=5) + 1j * rng.normal(size=5)
+    ops = build_operators(inst, alpha / np.linalg.norm(alpha),
+                          phase_rng=RngStream(m).generator())
+    good = ops.good.reshape(-1)
+    state = ops.psi0_state
+    for run in sweep(ops, 6):
+        if run.n > 0:
+            state = grover_step(ops, state)
+        assert run.p_rec.tobytes() == marginal_over_y(state).tobytes()
+        assert run.good_amp == float(np.linalg.norm(state.amps[good]))
+        assert run.bad_amp == float(np.linalg.norm(state.amps[~good]))
+    assert run.n == 6
