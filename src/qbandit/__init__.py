@@ -22,11 +22,8 @@ from .comparison import (
 )
 from .errors import (
     DegenerateInstance,
-    DimensionError,
     InstanceFormatError,
-    InsufficientBudget,
     InvariantViolation,
-    NoGoodStates,
     QbanditError,
     RenormalizationWarning,
 )
@@ -64,13 +61,10 @@ __all__ = [
     "ClosedForm",
     "ComparisonReport",
     "DegenerateInstance",
-    "DimensionError",
     "FAMILIES",
     "InstanceFormatError",
     "InstanceSummary",
-    "InsufficientBudget",
     "InvariantViolation",
-    "NoGoodStates",
     "QbaiRun",
     "QbanditError",
     "RenormalizationWarning",

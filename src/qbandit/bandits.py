@@ -82,8 +82,6 @@ class InstanceSummary:
 
     a: np.ndarray        # arm values, length N
     x_star: int          # lowest-index optimal arm
-    a_star: float
-    delta: np.ndarray    # gaps a_star - a, length N
     h1: float            # sum over suboptimal arms of 1 / gap^2
 
 
@@ -100,18 +98,15 @@ def summarize(inst: BanditInstance) -> InstanceSummary:
     """
     a = arm_values(inst)
     x_star = int(np.argmax(a))
-    a_star = float(a[x_star])
-    delta = a_star - a
-    others = np.arange(len(a)) != x_star
-    if np.any(delta[others] == 0.0):
+    # gaps of the non-optimal arms, in arm order
+    gaps = np.delete(a[x_star] - a, x_star)
+    if np.any(gaps == 0.0):
         raise DegenerateInstance(
             "a non-optimal arm ties the optimum; gaps of zero make the "
             "hardness sum diverge"
         )
-    h1 = float((1.0 / delta[others] ** 2).sum()) if others.any() else 0.0
     a.setflags(write=False)
-    delta.setflags(write=False)
-    return InstanceSummary(a=a, x_star=x_star, a_star=a_star, delta=delta, h1=h1)
+    return InstanceSummary(a=a, x_star=x_star, h1=float((1.0 / gaps ** 2).sum()))
 
 
 def _check_distribution(p_rec: np.ndarray, n: int) -> np.ndarray:

@@ -31,13 +31,7 @@ import numpy as np
 from . import __version__
 from .bandits import BanditInstance, summarize
 from .comparison import SIM_CAP, ComparisonReport, compare, scaling_experiment
-from .errors import (
-    DegenerateInstance,
-    InsufficientBudget,
-    InvariantViolation,
-    NoGoodStates,
-    QbanditError,
-)
+from .errors import DegenerateInstance, InvariantViolation, QbanditError
 from .instances import FAMILIES, load_instance
 from .qbai import (REFLECTIONS, ClosedForm, build_operators, cross_check,
                    success_probability, sweep)
@@ -318,15 +312,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_count_arg, default=0,
                        help="base seed for every random stream in the run")
 
+    def steps(p: argparse.ArgumentParser, default: int) -> None:
+        p.add_argument("--n", type=_count_arg, default=default,
+                       help="largest step count in the sweep")
+
+    def variants(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--reflection", choices=REFLECTIONS, default="composite")
+        p.add_argument("--phases", choices=("real", "random"), default="real")
+
+    def sim_cap(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--sim-cap", dest="sim_cap", type=_count_arg, default=SIM_CAP,
+                       help="largest N*M the cross-checking simulation touches")
+
     p = sub.add_parser("simulate", help="state-vector recommendation tables")
     common(p)
-    p.add_argument("--n", type=_count_arg, default=10, help="largest step count in the sweep")
-    p.add_argument("--reflection", choices=REFLECTIONS, default="composite")
-    p.add_argument("--phases", choices=("real", "random"), default="real")
+    steps(p, 10)
+    variants(p)
 
     p = sub.add_parser("analytic", help="closed-form recommendation tables")
     common(p)
-    p.add_argument("--n", type=_count_arg, default=10, help="largest step count in the sweep")
+    steps(p, 10)
 
     p = sub.add_parser("ucbe", help="Monte Carlo error of the classical baseline")
     common(p)
@@ -341,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="quantum vs classical on one instance")
     common(p)
-    p.add_argument("--sim-cap", dest="sim_cap", type=_count_arg, default=SIM_CAP,
-                   help="largest N*M the cross-checking simulation touches")
+    sim_cap(p)
 
     p = sub.add_parser("scale", help="family sweep with n_star growth fit")
     common(p, instance=False)
@@ -350,14 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_sizes_arg,
                    default=(4, 8, 16, 32, 64, 128, 256, 512, 1024),
                    help="comma-separated arm counts")
-    p.add_argument("--sim-cap", dest="sim_cap", type=_count_arg, default=SIM_CAP,
-                   help="largest N*M the cross-checking simulation touches")
+    sim_cap(p)
 
     p = sub.add_parser("validate", help="closed form vs simulator; exit 3 on mismatch")
     common(p)
-    p.add_argument("--n", type=_count_arg, default=50, help="largest step count in the sweep")
-    p.add_argument("--reflection", choices=REFLECTIONS, default="composite")
-    p.add_argument("--phases", choices=("real", "random"), default="real")
+    steps(p, 50)
+    variants(p)
 
     return parser
 
@@ -380,7 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     cfg = _config_from_args(args)
     try:
         return run_command(cfg)
-    except (DegenerateInstance, NoGoodStates, InsufficientBudget) as exc:
+    except DegenerateInstance as exc:
         print(f"qbandit: degenerate instance: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bandits import BanditInstance, error_probability, summarize
-from .errors import DegenerateInstance, NoGoodStates
+from .errors import DegenerateInstance
 from .qbai import cross_check, run_qbai, success_probability
 from .ucbe import ucbe_min_rounds
 
@@ -173,7 +173,7 @@ def scaling_experiment(
             inst = family(size)
             report = compare(inst, instance_id=f"N={size}", sim_cap=sim_cap)
             rows.append(ScalingRow(size=size, report=report, error=None))
-        except (DegenerateInstance, NoGoodStates, ValueError) as exc:
+        except (DegenerateInstance, ValueError) as exc:
             # instance-level problems mark the row; genuine bugs still raise
             rows.append(ScalingRow(size=size, report=None, error=str(exc)))
     pts = [

@@ -1,24 +1,18 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Each error type has one CLI exit code: InstanceFormatError 1, like any
+ValueError, DegenerateInstance 2 and InvariantViolation 3.
+"""
 
 
 class QbanditError(Exception):
     """Base class for package-specific errors."""
 
 
-class DimensionError(QbanditError):
-    """Operator and state shapes do not line up."""
-
-
 class DegenerateInstance(QbanditError):
-    """A suboptimal arm ties the optimum, so gap-based quantities diverge."""
-
-
-class NoGoodStates(QbanditError):
-    """The reward table marks no reachable state, so amplification is undefined."""
-
-
-class InsufficientBudget(QbanditError):
-    """Round budget too small to pull every arm once."""
+    """The instance leaves nothing well defined to compute: a suboptimal arm
+    ties the optimum, no reward is reachable (p = 0), or the round budget is
+    below the arm count."""
 
 
 class InstanceFormatError(QbanditError):

@@ -40,21 +40,21 @@ def bernoulli_instance(values: np.ndarray | list[float]) -> BanditInstance:
     return BanditInstance(nu=nu, f=f)
 
 
-def one_good_arm(n_arms: int, *, good_value: float = 0.5) -> BanditInstance:
-    """One arm worth good_value, every other arm worthless."""
+def one_good_arm(n_arms: int) -> BanditInstance:
+    """Arm 0 worth 0.5, every other arm worthless."""
     if n_arms < 1:
         raise ValueError(f"n_arms must be positive, got {n_arms}")
     values = np.zeros(n_arms)
-    values[0] = good_value
+    values[0] = 0.5
     return bernoulli_instance(values)
 
 
-def two_tier(n_arms: int, *, top: float = 0.5, rest: float = 0.25) -> BanditInstance:
-    """One arm worth top, every other arm worth rest."""
+def two_tier(n_arms: int) -> BanditInstance:
+    """Arm 0 worth 0.5, every other arm worth 0.25."""
     if n_arms < 1:
         raise ValueError(f"n_arms must be positive, got {n_arms}")
-    values = np.full(n_arms, rest)
-    values[0] = top
+    values = np.full(n_arms, 0.25)
+    values[0] = 0.5
     return bernoulli_instance(values)
 
 

@@ -51,7 +51,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .bandits import BanditInstance, arm_values
-from .errors import DimensionError, InvariantViolation, NoGoodStates
+from .errors import DegenerateInstance, InvariantViolation
 
 ALPHA_TOL = 1e-9
 # largest deviation of the simulator from the closed form before the two
@@ -75,10 +75,10 @@ class StateVector:
     def __post_init__(self) -> None:
         n, m = self.dims
         if n < 1 or m < 1:
-            raise DimensionError(f"dims must be positive, got {self.dims}")
+            raise ValueError(f"dims must be positive, got {self.dims}")
         amps = np.array(self.amps, dtype=np.complex128)
         if amps.shape != (n * m,):
-            raise DimensionError(
+            raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({n * m},)"
             )
         norm = np.linalg.norm(amps)
@@ -216,9 +216,11 @@ class ClosedForm:
         The larger of the two is taken as 1 minus the smaller.  Squaring a
         rounded sine next to 1 costs about 1.5 ulp; the subtraction costs
         half an ulp plus the smaller square's error, which is small next to 1.
+        np.square multiplies, so a scalar n squares as an array row does;
+        ** 2 on a numpy scalar goes through pow, which can round differently.
         """
         x = self._angle(n)
-        s, c = np.sin(x) ** 2, np.cos(x) ** 2
+        s, c = np.square(np.sin(x)), np.square(np.cos(x))
         big = s > c
         return np.where(big, 1.0 - c, s)[()], np.where(big, c, 1.0 - s)[()]
 
@@ -324,7 +326,7 @@ def success_probability(
 ) -> ClosedForm:
     """The closed-form model of inst under arm amplitudes alpha (uniform if None).
 
-    Raises NoGoodStates when no reward mass is reachable (p = 0).
+    Raises DegenerateInstance when no reward mass is reachable (p = 0).
     """
     # exact 1/N for the uniform default; squaring 1/sqrt(N) rounds twice and
     # spoils the rational values the exact-case closed forms land on
@@ -337,7 +339,7 @@ def success_probability(
     a = np.clip(arm_values(inst), 0.0, 1.0)
     p = float((w * a).sum())
     if p <= 0.0:
-        raise NoGoodStates("no reward mass is reachable: p = 0")
+        raise DegenerateInstance("no reward mass is reachable: p = 0")
     q = float((w * (1.0 - a)).sum())
     theta = math.atan2(math.sqrt(p), math.sqrt(q))
     w.setflags(write=False)
@@ -405,7 +407,7 @@ def grover_step(ops: QbaiOperators, s: StateVector) -> StateVector:
     configured anchor reflection, never as an explicit matrix.
     """
     if s.dims != ops.psi0_state.dims:
-        raise DimensionError(
+        raise ValueError(
             f"operator dims {ops.psi0_state.dims} do not match state {s.dims}"
         )
     amps = _buffer(s)
@@ -445,17 +447,12 @@ def sweep(ops: QbaiOperators, n_max: int) -> Iterator[QbaiRun]:
 
 
 def run_qbai(
-    inst: BanditInstance,
-    alpha: np.ndarray | None = None,
-    n: int = 0,
-    *,
-    reflection: str = "composite",
-    phase_rng: np.random.Generator | None = None,
+    inst: BanditInstance, alpha: np.ndarray | None = None, n: int = 0
 ) -> QbaiRun:
     """Simulate n amplification steps and read the run off the kernel's buffer."""
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
-    ops = build_operators(inst, alpha, reflection=reflection, phase_rng=phase_rng)
+    ops = build_operators(inst, alpha)
     for _, amps in _evolve(ops, n):
         pass
     return _readout(ops, int(n), amps)
@@ -489,6 +486,6 @@ def analytic_recommendation(
 ) -> np.ndarray:
     """Closed-form recommendation distribution after n steps (no simulation).
 
-    Raises NoGoodStates at p = 0.
+    Raises DegenerateInstance at p = 0.
     """
     return success_probability(inst, alpha).p_rec(n)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandits import BanditInstance, InstanceSummary, summarize
-from .errors import InsufficientBudget
+from .errors import DegenerateInstance
 
 BONUS_VARIANTS = ("per-arm", "printed")
 # trials run in lockstep by one kernel call
@@ -65,7 +65,7 @@ def tuned_explore(summary: InstanceSummary, T: int) -> float:
     """Default exploration strength (25/36) * (T - N) / h1."""
     n = len(summary.a)
     if T < n:
-        raise InsufficientBudget(f"budget T={T} below arm count N={n}")
+        raise DegenerateInstance(f"budget T={T} below arm count N={n}")
     if summary.h1 == 0.0:
         return 0.0
     return (25.0 / 36.0) * (T - n) / summary.h1
@@ -77,7 +77,7 @@ def _check_args(inst: BanditInstance, T: int, explore: float, bonus: str) -> Non
     if not math.isfinite(explore) or explore < 0:
         raise ValueError(f"explore must be finite and non-negative, got {explore}")
     if T < inst.n_arms:
-        raise InsufficientBudget(f"budget T={T} below arm count N={inst.n_arms}")
+        raise DegenerateInstance(f"budget T={T} below arm count N={inst.n_arms}")
 
 
 def _draw(

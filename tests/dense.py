@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from qbandit.errors import DimensionError
 from qbandit.qbai import HouseholderPrep, QbaiOperators
 
 DENSIFY_CAP = 4096
@@ -20,7 +19,7 @@ DENSIFY_CAP = 4096
 def _size(dims: tuple[int, int], cap: int) -> int:
     d = dims[0] * dims[1]
     if d > cap:
-        raise DimensionError(f"densify cap exceeded: {d} > {cap}")
+        raise ValueError(f"densify cap exceeded: {d} > {cap}")
     return d
 
 

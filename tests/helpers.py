@@ -6,7 +6,8 @@ import dataclasses
 
 import numpy as np
 
-from qbandit import BanditInstance, comparison
+from qbandit import BanditInstance, bernoulli_instance, comparison
+from qbandit.qbai import QbaiRun, build_operators, sweep
 
 # share of random instances whose rewarded mass is scaled down to a tiny p
 TINY_P_SHARE = 0.25
@@ -23,6 +24,21 @@ def two_arm_stochastic() -> BanditInstance:
         nu=np.array([[0.5, 0.5], [0.5, 0.5]]),
         f=np.array([[1, 0], [0, 0]]),
     )
+
+
+def variant_run(inst: BanditInstance, alpha: np.ndarray | None, n: int,
+                **variant) -> QbaiRun:
+    """The run after n steps of the kernel built with build_operators' variant
+    keywords, reflection and phase_rng."""
+    *_, run = sweep(build_operators(inst, alpha, **variant), n)
+    return run
+
+
+def one_good(n_arms: int, value: float) -> BanditInstance:
+    """Arm 0 worth value, every other arm worthless."""
+    values = np.zeros(n_arms)
+    values[0] = value
+    return bernoulli_instance(values)
 
 
 def perturb_compare_runs(monkeypatch, field: str) -> None:

@@ -16,7 +16,8 @@ from helpers import perturb_compare_runs
 from qbandit import cli
 from qbandit.bandits import BanditInstance
 from qbandit.cli import main
-from qbandit.errors import InvariantViolation
+from qbandit.errors import (DegenerateInstance, InstanceFormatError, InvariantViolation,
+                            QbanditError)
 from qbandit.instances import bernoulli_instance, load_instance, save_instance
 from qbandit.qbai import build_operators, cross_check, success_probability, sweep
 
@@ -155,6 +156,16 @@ def test_exit_code_degenerate(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analytic", "compare", "validate"])
+def test_exit_code_no_reachable_reward(tmp_path, capsys, command):
+    path = tmp_path / "p0.json"
+    save_instance(bernoulli_instance([0.0, 0.0]), path)
+    assert main([command, "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qbandit: degenerate instance: no reward mass is reachable: p = 0\n"
+
+
 def test_exit_code_budget_below_arm_count(instance_path, capsys):
     """Both routes to the budget check, the tuned exploration constant and an
     explicit --explore, exit 2 as the README documents."""
@@ -162,6 +173,26 @@ def test_exit_code_budget_below_arm_count(instance_path, capsys):
     assert main(argv) == 2
     assert main([*argv, "--explore", "1"]) == 2
     assert capsys.readouterr().err.count("budget T=2 below arm count N=4") == 2
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (DegenerateInstance("tied"), 2, "degenerate instance: "),
+    (InstanceFormatError("bad field"), 1, "error: "),
+    (InvariantViolation("drift"), 3, "internal check failed: "),
+    (ValueError("bad shape"), 1, "error: "),
+], ids=["degenerate", "format", "invariant", "value-error"])
+def test_each_error_type_has_one_exit_code(monkeypatch, capsys, exc, code, prefix):
+    """Every package error type maps to one exit code; ValueError shares 1."""
+    assert set(QbanditError.__subclasses__()) == {
+        DegenerateInstance, InstanceFormatError, InvariantViolation}
+
+    def failing(cfg):
+        raise exc
+    monkeypatch.setitem(cli._COMMANDS, "compare", failing)
+    assert main(["compare", "--instance", "unread.json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qbandit: {prefix}{exc}\n"
 
 
 def test_exit_code_invariant_violation(tmp_path, capsys):

@@ -34,7 +34,6 @@ def test_families():
     assert set(FAMILIES) == {"one-good-arm", "two-tier"}
     assert np.allclose(arm_values(one_good_arm(5)), [0.5, 0, 0, 0, 0])
     assert np.allclose(arm_values(two_tier(3)), [0.5, 0.25, 0.25])
-    assert np.allclose(arm_values(one_good_arm(2, good_value=0.9)), [0.9, 0.0])
     with pytest.raises(ValueError):
         one_good_arm(0)
 

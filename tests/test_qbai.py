@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from dense import densify, oracle_matrix, step_matrix
-from helpers import four_arm_exact, random_instance, two_arm_stochastic
+from helpers import four_arm_exact, one_good, random_instance, two_arm_stochastic, variant_run
 from qbandit.bandits import BanditInstance, arm_values
 from qbandit.comparison import compare
-from qbandit.errors import NoGoodStates
+from qbandit.errors import DegenerateInstance
 from qbandit.instances import bernoulli_instance, one_good_arm
 from qbandit.qbai import (
     HouseholderPrep,
@@ -242,7 +242,7 @@ def test_success_probability_sums_the_failure_mass_directly():
 
 
 def test_success_probability_no_good_states():
-    with pytest.raises(NoGoodStates):
+    with pytest.raises(DegenerateInstance, match="p = 0"):
         success_probability(bernoulli_instance([0.0, 0.0]))
 
 
@@ -323,8 +323,8 @@ def _exact_law(inst: BanditInstance, n: int) -> tuple[list, np.ndarray]:
 @pytest.mark.parametrize(
     "inst, steps",
     [
-        (one_good_arm(2**18, good_value=1e-6), None),
-        (one_good_arm(4096, good_value=1e-3), None),
+        (one_good(2**18, 1e-6), None),
+        (one_good(4096, 1e-3), None),
         (bernoulli_instance([1.0, 1.0, 1.0 - 1e-12]), (0, 1, 5)),
         (bernoulli_instance([1.0, 1.0 - 1e-9]), (0, 1, 5)),
         (bernoulli_instance([0.5, 0.1, 0.1, 0.1]), (10**6,)),
@@ -361,6 +361,20 @@ def test_success_next_to_one_stays_within_an_ulp():
     ulp = np.spacing(got)
     assert abs(mpmath.mpf(float(got)) - max(exact)) < ulp
     assert compare(inst).qbai_success == got == 0.9999453594556078
+
+
+@pytest.mark.parametrize("inst", [bernoulli_instance([0.5, 0.25, 0.25, 0.25]),
+                                  one_good_arm(64)], ids=["four-arm", "one-good-arm-64"])
+def test_int_step_count_matches_its_array_row_bit_for_bit(inst):
+    """The law and the amplified mass at an int n equal row n of the array
+    evaluation bit for bit, so validate and compare check the numbers that
+    analytic prints."""
+    model = success_probability(inst)
+    ns = np.arange(2001)
+    table, amplified = model.p_rec(ns), model.amplified(ns)
+    for n in ns.tolist():
+        assert model.p_rec(n).tobytes() == table[n].tobytes(), n
+        assert np.float64(model.amplified(n)).tobytes() == amplified[n].tobytes(), n
 
 
 def test_closed_form_frozen_values():
@@ -426,7 +440,7 @@ def test_phase_scramble_leaves_marginals_alone():
     for _ in range(5):
         inst, alpha = random_instance(rng)
         plain = run_qbai(inst, alpha, 6)
-        scrambled = run_qbai(inst, alpha, 6, phase_rng=RngStream(99).generator())
+        scrambled = variant_run(inst, alpha, 6, phase_rng=RngStream(99).generator())
         assert np.abs(plain.p_rec - scrambled.p_rec).max() <= 1e-10
         assert abs(plain.good_amp - scrambled.good_amp) <= 1e-10
 
@@ -434,7 +448,7 @@ def test_phase_scramble_leaves_marginals_alone():
 def test_tensor_reflection_matches_composite_when_env_is_trivial():
     inst = four_arm_exact()   # M = 1: the two reflections coincide
     a = run_qbai(inst, n=2)
-    b = run_qbai(inst, n=2, reflection="tensor")
+    b = variant_run(inst, None, 2, reflection="tensor")
     assert np.abs(a.p_rec - b.p_rec).max() <= 1e-12
 
 
@@ -442,7 +456,7 @@ def test_tensor_reflection_diverges_from_closed_form():
     """With a non-trivial environment the product reflection is a different
     operator, and the closed-form law genuinely does not apply to it."""
     inst = bernoulli_instance([0.5, 0.25, 0.25, 0.25])
-    run = run_qbai(inst, n=1, reflection="tensor")
+    run = variant_run(inst, None, 1, reflection="tensor")
     analytic = analytic_recommendation(inst, None, 1)
     assert np.abs(run.p_rec - analytic).max() > 1e-6
     assert run.p_rec.sum() == pytest.approx(1.0, abs=1e-12)

@@ -8,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from exact_ucbe import exact_error
 from helpers import four_arm_exact
 from qbandit import ucbe
 from qbandit.bandits import BanditInstance, summarize
-from qbandit.errors import InsufficientBudget
+from qbandit.errors import DegenerateInstance
 from qbandit.instances import bernoulli_instance
 from qbandit.ucbe import (
     BONUS_VARIANTS,
@@ -104,7 +105,7 @@ def test_tuned_explore():
     s = summarize(bernoulli_instance([0.5, 0.25]))
     assert tuned_explore(s, 1000) == pytest.approx((25 / 36) * 998 / 16, rel=1e-15)
     assert tuned_explore(summarize(bernoulli_instance([0.5])), 10) == 0.0
-    with pytest.raises(InsufficientBudget):
+    with pytest.raises(DegenerateInstance, match="below arm count"):
         tuned_explore(s, 1)
 
 
@@ -122,7 +123,7 @@ def test_run_ucbe_hand_trace():
 
 def test_run_ucbe_validation():
     inst = bernoulli_instance([0.5, 0.25])
-    with pytest.raises(InsufficientBudget):
+    with pytest.raises(DegenerateInstance, match="below arm count"):
         run_ucbe(inst, 1, 1.0, RngStream(0))
     with pytest.raises(ValueError):
         run_ucbe(inst, 10, -1.0, RngStream(0))
@@ -241,7 +242,7 @@ def test_estimate_error_validation():
     inst = bernoulli_instance([0.6, 0.4])
     with pytest.raises(ValueError):
         estimate_error(inst, 30, 1.0, 0, RngStream(0))
-    with pytest.raises(InsufficientBudget):
+    with pytest.raises(DegenerateInstance, match="below arm count"):
         estimate_error(inst, 1, 1.0, 10, RngStream(0))
     with pytest.raises(ValueError, match="finite"):
         estimate_error(inst, 30, math.nan, 10, RngStream(0))
@@ -279,3 +280,23 @@ def test_ucbe_min_rounds_is_strictly_greater():
         ucbe_min_rounds(s, 0.0)
     with pytest.raises(ValueError):
         ucbe_min_rounds(s, 1.0)
+
+
+# seed and trial count fixed before the first comparison; a miss is reported,
+# never re-seeded away
+EXACT_TRIALS = 4000
+
+
+@pytest.mark.parametrize("bonus", BONUS_VARIANTS)
+@pytest.mark.parametrize("T", [10, 30, 60])
+@pytest.mark.parametrize("values", [(0.5, 0.25), (0.4, 0.6), (0.7, 0.65)],
+                         ids=["half-quarter", "best-second", "close"])
+def test_estimate_error_matches_the_exact_law(values, T, bonus):
+    """The Monte Carlo rate lands within 4 standard errors of the exact
+    misidentification probability of the two-arm Markov chain."""
+    inst = bernoulli_instance(list(values))
+    explore = tuned_explore(summarize(inst), T)
+    exact = exact_error(values, T, explore, bonus)
+    e_hat, _ = estimate_error(inst, T, explore, EXACT_TRIALS, RngStream(5), bonus=bonus)
+    sigma = math.sqrt(exact * (1.0 - exact) / EXACT_TRIALS)
+    assert abs(e_hat - exact) <= 4.0 * sigma, (e_hat, exact, sigma)
