@@ -33,8 +33,8 @@ from .bandits import BanditInstance, summarize
 from .comparison import SIM_CAP, ComparisonReport, compare, scaling_experiment
 from .errors import DegenerateInstance, InvariantViolation, QbanditError
 from .instances import FAMILIES, load_instance
-from .qbai import (REFLECTIONS, ClosedForm, build_operators, cross_check,
-                   success_probability, sweep)
+from .qbai import (BLOCK_CELLS, REFLECTIONS, ClosedForm, build_operators,
+                   cross_check, success_probability, sweep)
 from .ucbe import (
     BONUS_VARIANTS,
     RngStream,
@@ -43,9 +43,6 @@ from .ucbe import (
     ucbe_error_bound,
     ucbe_min_rounds,
 )
-
-# closed-form cells (steps x arms) evaluated per block of an analytic table
-_BLOCK_CELLS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -90,6 +87,8 @@ def _arm_cols(inst: BanditInstance) -> list[str]:
 
 def _cmd_simulate(cfg: RunConfig):
     inst, alpha = load_instance(cfg.instance)
+    # p = 0 leaves nothing to amplify: exit 2, as analytic and validate do
+    success_probability(inst, alpha)
     runs = _sweep(cfg, inst, alpha)
     rows = ((run.n, run.good_amp, run.bad_amp, *run.p_rec.tolist()) for run in runs)
     return ["n", "good_amp", "bad_amp", *_arm_cols(inst)], rows, {}
@@ -109,7 +108,7 @@ def _analytic_rows(model: ClosedForm, n_max: int, block: int) -> Iterator[tuple]
 def _cmd_analytic(cfg: RunConfig):
     inst, alpha = load_instance(cfg.instance)
     model = success_probability(inst, alpha)
-    rows = _analytic_rows(model, cfg.n, max(1, _BLOCK_CELLS // inst.n_arms))
+    rows = _analytic_rows(model, cfg.n, max(1, BLOCK_CELLS // inst.n_arms))
     extra = {"p_success": model.p, "n_star": model.n_star}
     return ["n", "amplified", "c_factor", *_arm_cols(inst)], rows, extra
 
@@ -213,11 +212,15 @@ def _write_json(fh, fields: dict, fieldnames: list[str], rows: Iterable[tuple]) 
     head, _, tail = frame.partition('"rows": []')
     # a flat row differs from its indent=2 form only in the separators, so
     # these separators let the C encoder write each row's body
-    encode = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+    encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+    # the keys are sorted once; each row dict is built in that order
+    order = sorted(range(len(fieldnames)), key=fieldnames.__getitem__)
+    keys = [fieldnames[i] for i in order]
     fh.write(head + '"rows": [')
     sep = "\n    "
     for row in rows:
-        fh.write(sep + "{\n      " + encode(dict(zip(fieldnames, row)))[1:-1] + "\n    }")
+        body = encode(dict(zip(keys, [row[i] for i in order])))[1:-1]
+        fh.write(sep + "{\n      " + body + "\n    }")
         sep = ",\n    "
     # json.dumps writes an empty list as []
     fh.write(("\n  ]" if sep == ",\n    " else "]") + tail + "\n")

@@ -33,17 +33,24 @@ reflection W S W* = 2|psi0><psi0| - I depends on W only through W|0>, so any
 such completion gives the same loop; the tensor variant does depend on how
 the environment preparation is completed.
 
+`build_operators` picks the kernel's one dtype.  Real alpha (or the uniform
+default) without phase_rng makes every reflector real and every phase -1 or
++1, so the reflectors and the buffer are float64; complex alpha or
+phase_rng makes them complex128.  The one step function serves both.
+
 This module alone knows the amplitude layout.  A `StateVector` is the
 validated, read-only x-major state that crosses the package boundary,
 amps[x * M + y] = <x y|s>, and `marginal_over_y` reads the arm law off it.
 A `StateVector` is built only where a state leaves the kernel:
-`grover_step` and the prepared state `psi0_state`.  `run_qbai` and `sweep`
-read each run straight off the buffer, summing each arm's law and each
-masked norm in the same order as they would on a `StateVector`.
+`grover_step` and the prepared state `psi0_state`; it is complex128 whatever
+the kernel's dtype.  `run_qbai` and `sweep` read each run straight off the
+buffer, summing each arm's law and each masked norm in the same order as
+they would on a `StateVector`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -60,6 +67,9 @@ SIM_AGREE_TOL = 1e-10
 REFLECTIONS = ("composite", "tensor")
 # States must arrive normalized; applications keep them that way to ~1e-15.
 STATE_NORM_TOL = 1e-9
+# closed-form cells (step counts x arms) evaluated per block, by cross_check
+# and by the analytic table
+BLOCK_CELLS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -134,7 +144,14 @@ class HouseholderPrep:
         Every u and g is unit by construction, so W is unitary.  The norms
         are taken along contiguous rows, one reflector each, before each
         reflector is laid along buffer axis `axis`.
+
+        Real columns give real u and g = -sign(c0), stored as float64; any
+        other columns give complex128.  Real columns are still normalized in
+        complex arithmetic, whose division multiplies by a reciprocal, so
+        their reflectors are, bit for bit, the real parts of those the same
+        columns cast to complex give.
         """
+        real = not np.iscomplexobj(columns)
         c = np.array(columns, dtype=np.complex128)
         if c.ndim != 2 or c.shape[1] < 1:
             raise ValueError(f"columns must be a 2-d stack of rows, got shape {c.shape}")
@@ -148,6 +165,8 @@ class HouseholderPrep:
         v = -gamma[:, None] * c
         v[:, 0] += 1.0
         v /= np.linalg.norm(v, axis=1)[:, None]
+        if real:
+            v, gamma = v.real, gamma.real
         u = np.ascontiguousarray(np.moveaxis(v, 1, axis))
         phase = np.expand_dims(gamma.conj(), axis)
         arrays = (u, u.conj(), phase, phase.conj())
@@ -294,18 +313,25 @@ def build_operators(
     the prepared state), "tensor" conjugates the per-factor product reflection
     instead.  phase_rng, when given, scrambles the phases of the environment
     amplitudes; outcome probabilities, and hence every P_n, are unchanged.
+
+    Real alpha (or None) without phase_rng makes every reflector and phase
+    real, so the operators, and the buffer the kernel steps, are float64;
+    complex alpha or phase_rng makes them complex128.
     """
     if reflection not in REFLECTIONS:
         raise ValueError(f"reflection must be one of {REFLECTIONS}, got {reflection!r}")
     al = _prepare_alpha(inst, alpha)
     n, m = inst.n_arms, inst.n_env
-    prep_agent = HouseholderPrep.from_columns(1, al[None, :])
     env_cols = np.sqrt(inst.nu).astype(np.complex128)
     if phase_rng is not None:
         # row-major draws: arm x takes the stream's x-th block of M values
         env_cols *= np.exp(2j * np.pi * phase_rng.random((n, m)))
+    elif not np.iscomplexobj(alpha):
+        # every column is real, so the kernel runs in float64
+        al, env_cols = al.real, env_cols.real
+    prep_agent = HouseholderPrep.from_columns(1, al[None, :])
     prep_env = HouseholderPrep.from_columns(0, env_cols)
-    amps = np.zeros((m, n), dtype=np.complex128)
+    amps = np.zeros((m, n), dtype=prep_agent.u.dtype)
     amps[0, 0] = 1.0
     work = np.empty_like(amps)
     _prepare(amps, prep_agent, work)
@@ -374,9 +400,11 @@ def _anchor(amps: np.ndarray, reflection: str) -> None:
         amps[0, 0] = keep
     else:
         # the product of the two axes' signs is -1 on row 0 and column 0
-        # away from the anchor, and +1 everywhere else
-        np.negative(amps[0, 1:], out=amps[0, 1:])
-        np.negative(amps[1:, 0], out=amps[1:, 0])
+        # away from the anchor, and +1 everywhere else.  Negated through a
+        # temporary: numpy 2.4's in-place negative of a float64 column with
+        # a 64-byte row stride (N = 8) reads the wrong elements.
+        amps[0, 1:] = -amps[0, 1:]
+        amps[1:, 0] = -amps[1:, 0]
 
 
 def _step(ops: QbaiOperators, amps: np.ndarray, work: np.ndarray) -> None:
@@ -389,10 +417,17 @@ def _step(ops: QbaiOperators, amps: np.ndarray, work: np.ndarray) -> None:
     _prepare(amps, ops.prep_env, work)
 
 
-def _buffer(s: StateVector) -> np.ndarray:
-    """A private (M, N) copy of the state's amplitudes, amps[y, x] = <x y|s>."""
+def _buffer(s: StateVector, dtype=np.complex128) -> np.ndarray:
+    """A private (M, N) copy of the state's amplitudes, amps[y, x] = <x y|s>.
+
+    A float64 copy keeps the real parts; the kernel asks for one only when
+    every operator is real, so the state has no imaginary part to drop.
+    """
     n, m = s.dims
-    return s.amps.reshape(n, m).T.copy()
+    xm = s.amps.reshape(n, m)
+    if dtype == np.float64:
+        xm = xm.real
+    return np.array(xm.T, dtype=dtype, order="C")
 
 
 def _state(amps: np.ndarray) -> StateVector:
@@ -416,8 +451,9 @@ def grover_step(ops: QbaiOperators, s: StateVector) -> StateVector:
 
 
 def _evolve(ops: QbaiOperators, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, amps) for n = 0..n_max, amps one private buffer stepped in place."""
-    amps = _buffer(ops.psi0_state)
+    """Yield (n, amps) for n = 0..n_max, amps one private buffer stepped in
+    place, in the operators' dtype."""
+    amps = _buffer(ops.psi0_state, ops.prep_agent.u.dtype)
     work = np.empty_like(amps)
     for n in range(n_max + 1):
         if n > 0:
@@ -463,16 +499,24 @@ def cross_check(model: ClosedForm, runs: Iterable[QbaiRun]) -> tuple[float, floa
 
     For each run, the law deviation is max |run.p_rec - model.p_rec(run.n)|
     and the amplitude deviation |run.good_amp - sqrt(model.amplified(run.n))|.
-    The caller picks the runs.  Raises InvariantViolation when either
-    exceeds SIM_AGREE_TOL.
+    The caller picks the runs; they are read once, a block of at most
+    BLOCK_CELLS law cells at a time, and the closed form is evaluated once
+    per block.  Raises InvariantViolation when either deviation exceeds
+    SIM_AGREE_TOL or is NaN.
     """
     max_p_dev = 0.0
     max_amp_dev = 0.0
-    for run in runs:
-        max_p_dev = max(max_p_dev, float(np.abs(run.p_rec - model.p_rec(run.n)).max()))
-        max_amp_dev = max(max_amp_dev,
-                          abs(run.good_amp - math.sqrt(model.amplified(run.n))))
-    if max_p_dev > SIM_AGREE_TOL or max_amp_dev > SIM_AGREE_TOL:
+    runs = iter(runs)
+    block_len = max(1, BLOCK_CELLS // len(model.w))
+    while block := list(itertools.islice(runs, block_len)):
+        ns = np.array([run.n for run in block])
+        law = np.array([run.p_rec for run in block])
+        good_amp = np.array([run.good_amp for run in block])
+        # np.maximum keeps a NaN, where the builtin max would drop it
+        max_p_dev = float(np.maximum(max_p_dev, np.abs(law - model.p_rec(ns)).max()))
+        max_amp_dev = float(np.maximum(
+            max_amp_dev, np.abs(good_amp - np.sqrt(model.amplified(ns))).max()))
+    if not (max_p_dev <= SIM_AGREE_TOL and max_amp_dev <= SIM_AGREE_TOL):
         raise InvariantViolation(
             f"closed form and simulator disagree: max recommendation deviation "
             f"{max_p_dev:.3e}, max amplitude deviation {max_amp_dev:.3e} "

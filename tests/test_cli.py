@@ -156,7 +156,7 @@ def test_exit_code_degenerate(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["analytic", "compare", "validate"])
+@pytest.mark.parametrize("command", ["analytic", "compare", "simulate", "validate"])
 def test_exit_code_no_reachable_reward(tmp_path, capsys, command):
     path = tmp_path / "p0.json"
     save_instance(bernoulli_instance([0.0, 0.0]), path)
@@ -404,6 +404,23 @@ def test_write_json_matches_json_dumps(rows):
     assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def test_write_json_sorts_twelve_arm_columns_as_json_dumps(tmp_path):
+    """A simulate table on 12 arms, where p10 and p11 sort between p1 and
+    p2, is written as json.dumps(indent=2, sort_keys=True) writes it."""
+    path = tmp_path / "twelve.json"
+    save_instance(bernoulli_instance(np.linspace(0.05, 0.6, 12)), path)
+    cfg = cli.RunConfig(command="simulate", instance=str(path), n=4, format="json")
+    fieldnames, rows, _ = cli._COMMANDS["simulate"](cfg)
+    rows = list(rows)
+    fields = {"config": {"seed": 0}, "timestamp": "t"}
+    buf = io.StringIO()
+    cli._write_json(buf, fields, fieldnames, iter(rows))
+    payload = {**fields, "rows": [dict(zip(fieldnames, row)) for row in rows]}
+    assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    keys = list(json.loads(buf.getvalue())["rows"][0])
+    assert keys[3:7] == ["p0", "p1", "p10", "p11"]
+
+
 def _round_trip_commands(tmp_path, instance_path):
     all_rewarded = tmp_path / "all-rewarded.json"
     save_instance(BanditInstance(nu=np.array([[0.5, 0.5], [0.25, 0.75]]),
@@ -450,7 +467,7 @@ def test_analytic_blocks_cover_every_step(monkeypatch, capsys, instance_path, ce
     """Blocks of 1 and 3 steps on four arms give the one-block table, row for row."""
     argv = ["analytic", "--instance", instance_path, "--n", "10"]
     _, whole = run_csv(capsys, argv)
-    monkeypatch.setattr(cli, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(cli, "BLOCK_CELLS", cells)
     _, blocked = run_csv(capsys, argv)
     assert [row["n"] for row in blocked] == [str(n) for n in range(11)]
     assert blocked == whole

@@ -93,6 +93,21 @@ def test_composite_reflection_negates_all_but_anchor():
     assert np.array_equal(out, np.array([0.5, -0.5, -0.5, -0.5]))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_tensor_reflection_on_every_small_buffer(dtype):
+    """The tensor anchor negates row 0 and column 0 away from the anchor, in
+    either dtype.  N = 8 matters: in numpy 2.4 an in-place negative of a
+    float64 column with a 64-byte row stride reads the wrong elements."""
+    for m in range(1, 6):
+        for n in range(1, 17):
+            amps = np.arange(1.0, m * n + 1).reshape(m, n).astype(dtype)
+            want = amps.copy()
+            want[0, 1:] *= -1
+            want[1:, 0] *= -1
+            _anchor(amps, "tensor")
+            assert np.array_equal(amps, want), (m, n)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_apply_matches_densify(seed):
     """Each in-place stage, and the whole step, equals multiplication by the

@@ -13,12 +13,14 @@ from dense import densify, oracle_matrix, step_matrix
 from helpers import four_arm_exact, one_good, random_instance, two_arm_stochastic, variant_run
 from qbandit.bandits import BanditInstance, arm_values
 from qbandit.comparison import compare
-from qbandit.errors import DegenerateInstance
+from qbandit.errors import DegenerateInstance, InvariantViolation
 from qbandit.instances import bernoulli_instance, one_good_arm
 from qbandit.qbai import (
+    SIM_AGREE_TOL,
     HouseholderPrep,
     analytic_recommendation,
     build_operators,
+    cross_check,
     grover_step,
     marginal_over_y,
     run_qbai,
@@ -518,3 +520,125 @@ def test_readout_matches_the_state_bit_for_bit(m):
         assert run.good_amp == float(np.linalg.norm(state.amps[good]))
         assert run.bad_amp == float(np.linalg.norm(state.amps[~good]))
     assert run.n == 6
+
+
+def test_simulator_matches_high_precision_law_at_65536_arms():
+    """One good arm among 2^16 to n_star against the two-valued law in
+    40-digit mpmath: the best arm's value, the common value of the other
+    arms, and the rewarded amplitude sqrt(sin^2((2n+1) theta))."""
+    mpmath = pytest.importorskip("mpmath")
+    n_arms = 2**16
+    inst = one_good_arm(n_arms)
+    n = success_probability(inst).n_star
+    run = run_qbai(inst, n=n)
+    rest = run.p_rec[1:]
+    with mpmath.workdps(40):
+        p = mpmath.mpf(0.5) / n_arms
+        q = 1 - p
+        s = mpmath.sin((2 * n + 1) * mpmath.atan2(mpmath.sqrt(p), mpmath.sqrt(q))) ** 2
+        best, other = s + (1 - s) * p / q, (1 - s) / (n_arms * q)
+        law_dev = max(abs(mpmath.mpf(float(run.p_rec[0])) - best),
+                      abs(mpmath.mpf(float(rest.max())) - other),
+                      abs(mpmath.mpf(float(rest.min())) - other))
+        amp_dev = abs(mpmath.mpf(run.good_amp) - mpmath.sqrt(s))
+    assert law_dev <= 1e-12, float(law_dev)
+    assert amp_dev <= 1e-12, float(amp_dev)
+
+
+def _prep_dtypes(ops) -> set:
+    return {a.dtype for prep in (ops.prep_agent, ops.prep_env)
+            for a in (prep.u, prep.u_conj, prep.phase, prep.phase_conj)}
+
+
+def test_operator_dtype_follows_alpha_and_phases():
+    """Real alpha (or uniform) without phases gives float64 operators; a
+    phase scramble or complex alpha gives complex128.  The prepared state
+    crosses the boundary as complex128 either way."""
+    inst = bernoulli_instance([0.5, 0.25, 0.1])
+    real_alpha = np.array([0.6, 0.0, 0.8])
+    for alpha in (None, real_alpha):
+        ops = build_operators(inst, alpha)
+        assert _prep_dtypes(ops) == {np.dtype(np.float64)}
+        assert ops.psi0_state.amps.dtype == np.complex128
+    for alpha, phase_rng in ((None, RngStream(1).generator()),
+                             (real_alpha.astype(complex), None),
+                             (np.array([0.6, 0.0, 0.8j]), None)):
+        ops = build_operators(inst, alpha, phase_rng=phase_rng)
+        assert _prep_dtypes(ops) == {np.dtype(np.complex128)}
+
+
+def _as_complex(ops):
+    """The same operators with every reflector and phase cast to complex128."""
+    def cast(prep):
+        return dataclasses.replace(prep, **{
+            name: getattr(prep, name).astype(np.complex128)
+            for name in ("u", "u_conj", "phase", "phase_conj")})
+    return dataclasses.replace(ops, prep_agent=cast(ops.prep_agent),
+                               prep_env=cast(ops.prep_env))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_real_kernel_matches_its_complex_cast(seed):
+    """The float64 sweep and a sweep of the same operators cast to
+    complex128 agree within 1e-14 at every step, under both reflections; so
+    does one grover_step of the complex prepared state."""
+    rng = np.random.default_rng(700 + seed)
+    inst, alpha = random_instance(rng)
+    if alpha is not None:
+        alpha = np.abs(alpha)
+    ops = build_operators(inst, alpha, reflection=("composite", "tensor")[seed % 2])
+    assert _prep_dtypes(ops) == {np.dtype(np.float64)}
+    cops = _as_complex(ops)
+    for real, cplx in zip(sweep(ops, 30), sweep(cops, 30)):
+        assert np.abs(real.p_rec - cplx.p_rec).max() <= 1e-14, real.n
+        assert abs(real.good_amp - cplx.good_amp) <= 1e-14, real.n
+        assert abs(real.bad_amp - cplx.bad_amp) <= 1e-14, real.n
+    stepped = grover_step(ops, ops.psi0_state)
+    assert stepped.amps.dtype == np.complex128
+    assert np.abs(stepped.amps - grover_step(cops, cops.psi0_state).amps).max() <= 1e-14
+
+
+def per_run_cross_check(model, runs) -> tuple[float, float]:
+    """cross_check's two maxima, the closed form evaluated at one n per run."""
+    max_p_dev = max_amp_dev = 0.0
+    for run in runs:
+        max_p_dev = max(max_p_dev, float(np.abs(run.p_rec - model.p_rec(run.n)).max()))
+        max_amp_dev = max(max_amp_dev,
+                          abs(run.good_amp - math.sqrt(model.amplified(run.n))))
+    return max_p_dev, max_amp_dev
+
+
+def _many_block_sweep():
+    """100 arms, so cross_check reads 10 runs a block: 46 runs make four full
+    blocks and a last one of six."""
+    rng = np.random.default_rng(31)
+    inst = BanditInstance(nu=rng.dirichlet(np.ones(3), size=100),
+                          f=(rng.random((100, 3)) < 0.3).astype(int))
+    return success_probability(inst), list(sweep(build_operators(inst), 45))
+
+
+def test_blocked_cross_check_equals_the_per_run_check():
+    model, runs = _many_block_sweep()
+    assert cross_check(model, runs) == per_run_cross_check(model, runs)
+    # a one-shot generator is read once, block by block
+    assert cross_check(model, (run for run in runs)) == per_run_cross_check(model, runs)
+
+
+@pytest.mark.parametrize("field", ["p_rec", "good_amp"])
+def test_blocked_cross_check_catches_a_run_in_the_last_block(field):
+    """A run 1e-9 off in the last, partial block fails the check."""
+    model, runs = _many_block_sweep()
+    runs[-2] = dataclasses.replace(runs[-2], **{field: getattr(runs[-2], field) + 1e-9})
+    assert per_run_cross_check(model, runs)[field == "good_amp"] > SIM_AGREE_TOL
+    with pytest.raises(InvariantViolation, match="disagree"):
+        cross_check(model, iter(runs))
+
+
+@pytest.mark.parametrize("field", ["p_rec", "good_amp"])
+def test_cross_check_fails_on_a_nan_run(field):
+    """A NaN deviation compares false with the tolerance, so it must not be
+    dropped on the way to the maximum."""
+    model, runs = _many_block_sweep()
+    runs[12] = dataclasses.replace(runs[12], **{field: getattr(runs[12], field) * math.nan})
+    with pytest.raises(InvariantViolation, match="nan"):
+        cross_check(model, runs)
