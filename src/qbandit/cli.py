@@ -12,7 +12,8 @@ Every output starts with a header block carrying the full run configuration
 (seed and variant flags included), so a file can be reproduced exactly from
 its own header; only the timestamp line varies between identical runs.  Exit
 codes: 0 success, 1 validation or parse failure, 2 degenerate instance or a
-budget below the arm count, 3 internal invariant violation.
+budget below the arm count, 3 internal invariant violation.  A warning
+raised during a run goes to stderr as one line, `qbandit: warning: <message>`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Sequence
@@ -383,17 +385,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     cfg = _config_from_args(args)
-    try:
-        return run_command(cfg)
-    except DegenerateInstance as exc:
-        print(f"qbandit: degenerate instance: {exc}", file=sys.stderr)
-        return 2
-    except InvariantViolation as exc:
-        print(f"qbandit: internal check failed: {exc}", file=sys.stderr)
-        return 3
-    except (QbanditError, ValueError, OSError) as exc:
-        print(f"qbandit: error: {exc}", file=sys.stderr)
-        return 1
+    # the warning filters stay as they are; only the display changes, and
+    # leaving the block restores it
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"qbandit: warning: {message}", file=sys.stderr)
+        try:
+            return run_command(cfg)
+        except DegenerateInstance as exc:
+            print(f"qbandit: degenerate instance: {exc}", file=sys.stderr)
+            return 2
+        except InvariantViolation as exc:
+            print(f"qbandit: internal check failed: {exc}", file=sys.stderr)
+            return 3
+        except (QbanditError, ValueError, OSError) as exc:
+            print(f"qbandit: error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -42,10 +42,12 @@ This module alone knows the amplitude layout.  A `StateVector` is the
 validated, read-only x-major state that crosses the package boundary,
 amps[x * M + y] = <x y|s>, and `marginal_over_y` reads the arm law off it.
 A `StateVector` is built only where a state leaves the kernel:
-`grover_step` and the prepared state `psi0_state`; it is complex128 whatever
-the kernel's dtype.  `run_qbai` and `sweep` read each run straight off the
-buffer, summing each arm's law and each masked norm in the same order as
-they would on a `StateVector`.
+`grover_step` and the prepared state `psi0_state`.  It holds float64
+amplitudes when they are real and complex128 otherwise, so the prepared
+state comes in the kernel's dtype, and `grover_step` steps in the dtype of
+the state and the operators together.  `run_qbai` and `sweep` read each run
+straight off the buffer, summing each arm's law and each masked norm in the
+same order as they would on a `StateVector`.
 """
 
 from __future__ import annotations
@@ -74,9 +76,11 @@ BLOCK_CELLS = 1 << 10
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized complex amplitudes over the composite basis.
+    """Normalized amplitudes over the composite basis.
 
-    dims is (N, M); amps has length N * M with amps[x * M + y] = <x y|s>.
+    dims is (N, M); amps has length N * M with amps[x * M + y] = <x y|s>,
+    stored as float64 when the given amplitudes are real and as complex128
+    otherwise.
     """
 
     dims: tuple[int, int]
@@ -86,7 +90,8 @@ class StateVector:
         n, m = self.dims
         if n < 1 or m < 1:
             raise ValueError(f"dims must be positive, got {self.dims}")
-        amps = np.array(self.amps, dtype=np.complex128)
+        amps = np.array(self.amps, dtype=np.complex128 if np.iscomplexobj(self.amps)
+                        else np.float64)
         if amps.shape != (n * m,):
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({n * m},)"
@@ -138,6 +143,8 @@ class HouseholderPrep:
     def from_columns(cls, axis: int, columns: np.ndarray) -> HouseholderPrep:
         """The preparation with W|0> = c for each row c of columns, normalized.
 
+        columns is a 2-d stack of nonzero rows, as `build_operators` passes.
+
         With gamma = -conj(c0)/|c0| (-1 when c0 = 0), v = e0 - gamma c and
         u = v/|v|, the reflector maps e0 to gamma c, so g = conj(gamma)
         restores c.  v0 = 1 + |c0| >= 1, so no column is a degenerate case.
@@ -153,12 +160,7 @@ class HouseholderPrep:
         """
         real = not np.iscomplexobj(columns)
         c = np.array(columns, dtype=np.complex128)
-        if c.ndim != 2 or c.shape[1] < 1:
-            raise ValueError(f"columns must be a 2-d stack of rows, got shape {c.shape}")
-        norms = np.linalg.norm(c, axis=1)
-        if not (norms > 0).all():
-            raise ValueError("a column is zero")
-        c /= norms[:, None]
+        c /= np.linalg.norm(c, axis=1)[:, None]
         mag = np.abs(c[:, 0])
         gamma = -np.ones(len(c), dtype=np.complex128)
         np.divide(-c[:, 0].conj(), mag, out=gamma, where=mag > 0)
@@ -417,17 +419,10 @@ def _step(ops: QbaiOperators, amps: np.ndarray, work: np.ndarray) -> None:
     _prepare(amps, ops.prep_env, work)
 
 
-def _buffer(s: StateVector, dtype=np.complex128) -> np.ndarray:
-    """A private (M, N) copy of the state's amplitudes, amps[y, x] = <x y|s>.
-
-    A float64 copy keeps the real parts; the kernel asks for one only when
-    every operator is real, so the state has no imaginary part to drop.
-    """
-    n, m = s.dims
-    xm = s.amps.reshape(n, m)
-    if dtype == np.float64:
-        xm = xm.real
-    return np.array(xm.T, dtype=dtype, order="C")
+def _buffer(s: StateVector, dtype=None) -> np.ndarray:
+    """A private (M, N) copy of the state's amplitudes, amps[y, x] = <x y|s>,
+    in dtype (the state's own when None)."""
+    return np.array(s.amps.reshape(s.dims).T, dtype=dtype, order="C")
 
 
 def _state(amps: np.ndarray) -> StateVector:
@@ -439,13 +434,15 @@ def grover_step(ops: QbaiOperators, s: StateVector) -> StateVector:
     """One amplification step: sign-flip rewarded pairs, reflect about psi0.
 
     The reflection is realized as W S W* with W the full preparation and S the
-    configured anchor reflection, never as an explicit matrix.
+    configured anchor reflection, never as an explicit matrix.  The step runs
+    in the dtype of the state and the operators together: float64 only when
+    both are real.
     """
     if s.dims != ops.psi0_state.dims:
         raise ValueError(
             f"operator dims {ops.psi0_state.dims} do not match state {s.dims}"
         )
-    amps = _buffer(s)
+    amps = _buffer(s, np.result_type(s.amps, ops.prep_agent.u))
     _step(ops, amps, np.empty_like(amps))
     return _state(amps)
 

@@ -12,7 +12,8 @@ Randomness policy: every consumer derives a fresh generator from an explicit
 in isolation and results cannot depend on scheduling or worker count.  The
 kernel draws each trial's uniforms in blocks of rounds; PCG64 random(a)
 followed by random(b) equals random(a + b) bit for bit, so the block width
-changes no draw, and memory stays bounded by UNIFORM_BLOCK_BYTES whatever T is.
+changes no draw.  Each round is read straight from the block the generators
+wrote, so the uniforms held stay within UNIFORM_BLOCK_BYTES whatever T is.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .errors import DegenerateInstance
 BONUS_VARIANTS = ("per-arm", "printed")
 # trials run in lockstep by one kernel call
 DEFAULT_CHUNK = 2500
-# bytes of uniforms drawn per block of rounds (at least one round); with its
-# transposed copy the kernel holds twice this, whatever T is
+# bytes of uniforms drawn per block of rounds (at least one round); the kernel
+# holds one block, whatever T is
 UNIFORM_BLOCK_BYTES = 8 << 20
 
 
@@ -110,7 +111,8 @@ def _lockstep(
 
     Trial i consumes stream rng.stream + start + i, one uniform per round in
     round order.  Uniforms come in blocks of rounds no larger than
-    UNIFORM_BLOCK_BYTES, transposed so that a round reads one contiguous row.
+    UNIFORM_BLOCK_BYTES, one row per trial, and round k of a block is read
+    as column k of the block the generators wrote, with no copy.
     Only the pulled entry of each trial's score row is recomputed per round,
     by the same float operations on the same values as a full recomputation,
     so argmax breaks ties identically.
@@ -121,7 +123,6 @@ def _lockstep(
     ]
     width = max(1, min(T, UNIFORM_BLOCK_BYTES // (8 * count)))
     drawn = np.empty((count, width))
-    block = np.empty((width, count))
     cdf = np.cumsum(inst.nu, axis=1)
     sums = np.zeros((count, n))
     # float64 counts are exact and divide without an int64-to-float conversion
@@ -135,9 +136,8 @@ def _lockstep(
             w = min(width, T - t)
             for i, gen in enumerate(gens):
                 gen.random(out=drawn[i, :w])
-            block[:w] = drawn[:, :w].T
         arms = np.full(count, t) if t < n else scores.argmax(axis=1)
-        _, r = _draw(cdf, inst.f, arms, block[k])
+        _, r = _draw(cdf, inst.f, arms, drawn[:, k])
         flat = offsets + arms
         s = sums_flat.take(flat) + r
         p = pulls_flat.take(flat) + 1

@@ -7,7 +7,9 @@ import gc
 import io
 import json
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from helpers import perturb_compare_runs
 from qbandit import cli
 from qbandit.bandits import BanditInstance
 from qbandit.cli import main
+from qbandit.comparison import compare
 from qbandit.errors import (DegenerateInstance, InstanceFormatError, InvariantViolation,
                             QbanditError)
 from qbandit.instances import bernoulli_instance, load_instance, save_instance
@@ -228,6 +231,41 @@ def test_bad_delta_rejected_before_the_monte_carlo(monkeypatch, capsys, instance
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "delta must lie in (0, 1)" in captured.err
+
+
+@pytest.mark.parametrize("command, fields, message", [
+    ("analytic", {"nu": [[0.50000001, 0.5], [0.25, 0.75]]},
+     "rescaled 1 nu row(s) off normalization by up to 1.000e-08"),
+    ("compare", {"nu": [[0.5, 0.5], [0.49, 0.51]], "alpha": [0.6, 0.8]},
+     "recommendation argmax differs from the best arm "
+     "(non-uniform arm amplitudes can reorder the marginal)"),
+], ids=["renormalization", "argmax"])
+def test_warnings_reach_stderr_as_one_line(capsys, tmp_path, command, fields, message):
+    """A warning prints as `qbandit: warning: <message>`, with no source path;
+    after the run, the warnings machinery is as it was, so a library call
+    warns as usual."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"N": 2, "M": 2, "f": [[1, 0], [1, 0]], **fields}))
+    shown = warnings.showwarning
+    assert main([command, "--instance", str(path)]) == 0
+    assert capsys.readouterr().err == f"qbandit: warning: {message}\n"
+    assert warnings.showwarning is shown
+    with pytest.warns(UserWarning, match=re.escape(message)):
+        if command == "analytic":
+            load_instance(str(path))
+        else:
+            compare(*load_instance(str(path)))
+
+
+def test_runtime_warning_filter_still_raises_under_main(monkeypatch, capsys):
+    """main changes how warnings look, not which ones are errors: the suite's
+    error::RuntimeWarning filter still raises inside a run."""
+    def warning(cfg):
+        warnings.warn("overflow", RuntimeWarning)
+    monkeypatch.setitem(cli._COMMANDS, "compare", warning)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        main(["compare", "--instance", "unread.json"])
+    assert capsys.readouterr().err == ""
 
 
 def test_help_and_version_exit_clean(capsys):

@@ -82,15 +82,6 @@ def test_complete_unitary_edge_columns(column):
     assert np.abs(env.conj().T @ env - np.eye(2 * c.size)).max() <= 1e-12
 
 
-def test_complete_unitary_rejects_bad_input():
-    with pytest.raises(ValueError):
-        HouseholderPrep.from_columns(1, np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        HouseholderPrep.from_columns(1, np.ones(2))
-    with pytest.raises(ValueError):
-        HouseholderPrep.from_columns(0, np.array([[0.6, 0.8], [0.0, 0.0]]))
-
-
 def test_build_operators_prepared_state():
     """psi0 amplitudes are alpha_x * sqrt(nu[x, y]) under real phases."""
     rng = np.random.default_rng(2)
@@ -499,20 +490,27 @@ def test_run_qbai_validation_and_state():
     assert run.good_amp**2 + run.bad_amp**2 == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("m", [2, 16])
-def test_readout_matches_the_state_bit_for_bit(m):
+@pytest.mark.parametrize("m, real", [(2, False), (16, False), (2, True), (16, True)],
+                         ids=["2", "16", "2-real", "16-real"])
+def test_readout_matches_the_state_bit_for_bit(m, real):
     """Each run sweep reads off the kernel's buffer equals, bit for bit, what
     the StateVector that grover_step reaches gives.  At M = 16 numpy sums an
     arm's terms pairwise only along a contiguous row, so a readout summing
-    across the buffer's rows would round differently."""
+    across the buffer's rows would round differently.  On the real kernel
+    (default alpha, no phases) the prepared state is float64 too, so
+    grover_step steps in the same arithmetic as sweep."""
     rng = np.random.default_rng(40 + m)
     inst = BanditInstance(nu=rng.dirichlet(np.ones(m), size=5),
                           f=(rng.random((5, m)) < 0.5).astype(int))
-    alpha = rng.normal(size=5) + 1j * rng.normal(size=5)
-    ops = build_operators(inst, alpha / np.linalg.norm(alpha),
-                          phase_rng=RngStream(m).generator())
+    if real:
+        ops = build_operators(inst)
+    else:
+        alpha = rng.normal(size=5) + 1j * rng.normal(size=5)
+        ops = build_operators(inst, alpha / np.linalg.norm(alpha),
+                              phase_rng=RngStream(m).generator())
     good = ops.good.reshape(-1)
     state = ops.psi0_state
+    assert state.amps.dtype == (np.float64 if real else np.complex128)
     for run in sweep(ops, 6):
         if run.n > 0:
             state = grover_step(ops, state)
@@ -553,18 +551,19 @@ def _prep_dtypes(ops) -> set:
 def test_operator_dtype_follows_alpha_and_phases():
     """Real alpha (or uniform) without phases gives float64 operators; a
     phase scramble or complex alpha gives complex128.  The prepared state
-    crosses the boundary as complex128 either way."""
+    comes in the operators' dtype."""
     inst = bernoulli_instance([0.5, 0.25, 0.1])
     real_alpha = np.array([0.6, 0.0, 0.8])
     for alpha in (None, real_alpha):
         ops = build_operators(inst, alpha)
         assert _prep_dtypes(ops) == {np.dtype(np.float64)}
-        assert ops.psi0_state.amps.dtype == np.complex128
+        assert ops.psi0_state.amps.dtype == np.float64
     for alpha, phase_rng in ((None, RngStream(1).generator()),
                              (real_alpha.astype(complex), None),
                              (np.array([0.6, 0.0, 0.8j]), None)):
         ops = build_operators(inst, alpha, phase_rng=phase_rng)
         assert _prep_dtypes(ops) == {np.dtype(np.complex128)}
+        assert ops.psi0_state.amps.dtype == np.complex128
 
 
 def _as_complex(ops):
@@ -581,7 +580,8 @@ def _as_complex(ops):
 def test_real_kernel_matches_its_complex_cast(seed):
     """The float64 sweep and a sweep of the same operators cast to
     complex128 agree within 1e-14 at every step, under both reflections; so
-    does one grover_step of the complex prepared state."""
+    does one grover_step of the prepared state, which the real operators
+    step in float64 and their complex cast in complex128."""
     rng = np.random.default_rng(700 + seed)
     inst, alpha = random_instance(rng)
     if alpha is not None:
@@ -594,8 +594,10 @@ def test_real_kernel_matches_its_complex_cast(seed):
         assert abs(real.good_amp - cplx.good_amp) <= 1e-14, real.n
         assert abs(real.bad_amp - cplx.bad_amp) <= 1e-14, real.n
     stepped = grover_step(ops, ops.psi0_state)
-    assert stepped.amps.dtype == np.complex128
-    assert np.abs(stepped.amps - grover_step(cops, cops.psi0_state).amps).max() <= 1e-14
+    cstepped = grover_step(cops, cops.psi0_state)
+    assert stepped.amps.dtype == np.float64
+    assert cstepped.amps.dtype == np.complex128
+    assert np.abs(stepped.amps - cstepped.amps).max() <= 1e-14
 
 
 def per_run_cross_check(model, runs) -> tuple[float, float]:

@@ -220,8 +220,8 @@ def test_estimate_error_memory_is_bounded_by_budget(monkeypatch):
     """Held uniforms stay within the block budget, however long the episode.
 
     Drawing all T uniforms of every trial at once would take 200 * 5000 * 8 B
-    = 8 MB here.  Beyond the drawn block and its transposed copy, a trial
-    holds one generator (about 1 KB traced) and O(N) floats of state.
+    = 8 MB here.  Beyond the drawn block, a trial holds one generator (about
+    1 KB traced) and O(N) floats of state.
     """
     budget = 64 << 10
     monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", budget)
@@ -236,6 +236,24 @@ def test_estimate_error_memory_is_bounded_by_budget(monkeypatch):
         tracemalloc.stop()
     assert peak <= 4 * budget + 2048 * trials * inst.n_arms
     assert peak < trials * T * 8 / 4
+
+
+def test_uniforms_are_held_once(monkeypatch):
+    """The kernel reads each round straight from the block the generators
+    wrote, so the uniforms are held once.  Here a block is 200 * 2621 * 8 B
+    = 4.2 MB; a second copy of it would put the peak above the bound."""
+    budget = 4 << 20
+    monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", budget)
+    inst = bernoulli_instance([0.5, 0.25])
+    T, trials = 5000, 200
+    estimate_error(inst, 20, 1.0, 2, RngStream(0))   # warm imports and caches
+    tracemalloc.start()
+    try:
+        estimate_error(inst, T, 1.0, trials, RngStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget + 2048 * trials * inst.n_arms
 
 
 def test_estimate_error_validation():
