@@ -16,11 +16,13 @@ import numpy as np
 
 from .errors import DegenerateInstance, RenormalizationWarning
 
-# Row sums within NU_ROW_TOL pass untouched; within NU_RENORM_TOL they are
-# rescaled with a warning; anything worse is rejected.
-NU_ROW_TOL = 1e-9
-NU_RENORM_TOL = 1e-6
-DIST_TOL = 1e-9
+# Input precision, one policy for the whole package.  A total that should be
+# 1 (a nu row, a file's alpha squared norm, a library alpha or state norm, a
+# recommendation law) passes within UNIT_TOL, as do uniform weights within
+# UNIT_TOL of 1/N.  A file's nu row or alpha off by more than UNIT_TOL but at
+# most RESCALE_TOL is rescaled with a warning; anything worse is rejected.
+UNIT_TOL = 1e-9
+RESCALE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,13 @@ class BanditInstance:
             raise ValueError("f entries must be 0 or 1")
         sums = nu.sum(axis=1)
         off = np.abs(sums - 1.0)
-        if np.any(off > NU_RENORM_TOL):
+        if np.any(off > RESCALE_TOL):
             worst = int(np.argmax(off))
             raise ValueError(
                 f"nu row {worst} sums to {float(sums[worst])}, off by more than "
-                f"{NU_RENORM_TOL}"
+                f"{RESCALE_TOL}"
             )
-        stale = off > NU_ROW_TOL
+        stale = off > UNIT_TOL
         if np.any(stale):
             warnings.warn(
                 f"rescaled {int(stale.sum())} nu row(s) off normalization by up to "
@@ -113,9 +115,9 @@ def _check_distribution(p_rec: np.ndarray, n: int) -> np.ndarray:
     p = np.asarray(p_rec, dtype=np.float64)
     if p.shape != (n,):
         raise ValueError(f"recommendation has shape {p.shape}, expected ({n},)")
-    if not np.all(np.isfinite(p)) or np.any(p < -DIST_TOL):
+    if not np.all(np.isfinite(p)) or np.any(p < -UNIT_TOL):
         raise ValueError("recommendation is not a probability vector")
-    if abs(p.sum() - 1.0) > DIST_TOL:
+    if abs(p.sum() - 1.0) > UNIT_TOL:
         raise ValueError(f"recommendation sums to {float(p.sum())}, not 1")
     return p
 

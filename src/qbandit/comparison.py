@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bandits import BanditInstance, error_probability, summarize
+from .bandits import UNIT_TOL, BanditInstance, error_probability, summarize
 from .errors import DegenerateInstance
 from .qbai import cross_check, run_qbai, success_probability
 from .ucbe import ucbe_min_rounds
@@ -32,7 +32,6 @@ SIM_CAP = 4096          # largest N*M the cross-checking simulation will touch
 # attained failure probabilities below this are numerically indistinguishable
 # from perfect confidence
 ATTAINED_DELTA_FLOOR = 1e-12
-UNIFORM_ALPHA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,30 +84,18 @@ def compare(
     """Side-by-side report for one instance.
 
     The classical budget is only computed for uniform alpha (the matched-delta
-    mapping assumes it).  A one-arm instance needs no search at all and is
-    reported with n_star = 0 and success 1.
+    mapping assumes it).  A one-arm instance needs no search at all: n_star is
+    0 and the law is the certain [1], so its success is 1, delta_matched 0,
+    the classical columns None, and nothing is simulated.
     """
     n, m = inst.n_arms, inst.n_env
     model = success_probability(inst, alpha)
-    if n == 1:
-        return ComparisonReport(
-            instance_id=instance_id,
-            n_arms=1,
-            n_env=m,
-            p_success=model.p,
-            n_star=0,
-            qbai_success=1.0,
-            delta_matched=0.0,
-            delta_classical=None,
-            t_classical=None,
-            ratio=None,
-            simulated=False,
-        )
+    # a literal law: p_rec(0) of a complex unit alpha can sit an ulp off 1
+    n_star, p_rec = (model.n_star, model.p_rec(model.n_star)) if n > 1 else (0, np.ones(1))
     a = model.a
     x_star = int(np.argmax(a))
-    p_rec = model.p_rec(model.n_star)
     qbai_success = float(p_rec[x_star])
-    is_uniform = bool(np.abs(model.w - 1.0 / n).max() <= UNIFORM_ALPHA_TOL)
+    is_uniform = bool(np.abs(model.w - 1.0 / n).max() <= UNIT_TOL)
     # under uniform weights the law at n_star keeps the order of the arm
     # values, so only a tie, left to rounding, can move the argmax
     if not is_uniform and int(np.argmax(p_rec)) != x_star:
@@ -117,10 +104,9 @@ def compare(
             "(non-uniform arm amplitudes can reorder the marginal)",
             stacklevel=2,
         )
-    simulated = False
-    if n * m <= sim_cap:
-        cross_check(model, [run_qbai(inst, alpha, model.n_star)])
-        simulated = True
+    simulated = n > 1 and n * m <= sim_cap
+    if simulated:
+        cross_check(model, [run_qbai(inst, alpha, n_star)])
     delta_matched = max(0.0, 1.0 - a[x_star] / (n * float(a.mean())))
     delta_classical: float | None = None
     t_classical: int | None = None
@@ -136,13 +122,13 @@ def compare(
                 delta_classical = attained
         if delta_classical is not None:
             t_classical = ucbe_min_rounds(summary, delta_classical)
-            ratio = t_classical / max(model.n_star, 1)
+            ratio = t_classical / max(n_star, 1)
     return ComparisonReport(
         instance_id=instance_id,
         n_arms=n,
         n_env=m,
         p_success=model.p,
-        n_star=model.n_star,
+        n_star=n_star,
         qbai_success=qbai_success,
         delta_matched=delta_matched,
         delta_classical=delta_classical,
@@ -162,7 +148,8 @@ def scaling_experiment(
 
     Per-size errors are recorded on the row rather than aborting the sweep.
     The slope is the least-squares fit of log(n_star) against log(N) over the
-    rows with n_star >= 1; None when fewer than two rows qualify.
+    rows with n_star >= 1; None unless those rows hold two distinct sizes,
+    since a line through one N has no defined slope.
     """
     rows: list[ScalingRow] = []
     for size in sizes:
@@ -182,7 +169,7 @@ def scaling_experiment(
         if row.report is not None and row.report.n_star >= 1
     ]
     slope = None
-    if len(pts) >= 2:
+    if len({size for size, _ in pts}) >= 2:
         logs = np.log(np.array(pts, dtype=float))
         slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
     return ScalingResult(rows=tuple(rows), slope=slope)

@@ -16,11 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bandits import BanditInstance
+from .bandits import RESCALE_TOL, UNIT_TOL, BanditInstance
 from .errors import InstanceFormatError, RenormalizationWarning
 
-ALPHA_FILE_TOL = 1e-9      # accepted as-is
-ALPHA_RENORM_TOL = 1e-6    # rescaled with a warning
 _KEYS = {"N", "M", "nu", "f", "alpha"}
 
 
@@ -88,7 +86,8 @@ def load_instance(path: str | Path) -> tuple[BanditInstance, np.ndarray | None]:
 
     Parse and schema problems raise InstanceFormatError with the offending
     line or field named.  Probability rows follow the renormalization policy
-    of BanditInstance; alpha follows the same policy on its squared norm.
+    of BanditInstance; alpha follows the same policy, with the same UNIT_TOL
+    and RESCALE_TOL, on its squared norm.
     """
     path = Path(path)
     try:
@@ -128,12 +127,12 @@ def load_instance(path: str | Path) -> tuple[BanditInstance, np.ndarray | None]:
                  "field 'alpha': entries must be numbers")
         alpha = np.array(raw, dtype=np.float64)
         off = abs(float((alpha ** 2).sum()) - 1.0)
-        if off > ALPHA_RENORM_TOL:
+        if off > RESCALE_TOL:
             raise InstanceFormatError(
                 f"field 'alpha': squared norm off by {off:.3e}, more than "
-                f"{ALPHA_RENORM_TOL}"
+                f"{RESCALE_TOL}"
             )
-        if off > ALPHA_FILE_TOL:
+        if off > UNIT_TOL:
             warnings.warn(
                 f"rescaled alpha off normalization by {off:.3e}",
                 RenormalizationWarning,

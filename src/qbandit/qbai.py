@@ -59,16 +59,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bandits import BanditInstance, arm_values
+from .bandits import UNIT_TOL, BanditInstance, arm_values
 from .errors import DegenerateInstance, InvariantViolation
 
-ALPHA_TOL = 1e-9
 # largest deviation of the simulator from the closed form before the two
 # routes count as disagreeing
 SIM_AGREE_TOL = 1e-10
 REFLECTIONS = ("composite", "tensor")
-# States must arrive normalized; applications keep them that way to ~1e-15.
-STATE_NORM_TOL = 1e-9
 # closed-form cells (step counts x arms) evaluated per block, by cross_check
 # and by the analytic table
 BLOCK_CELLS = 1 << 10
@@ -97,8 +94,8 @@ class StateVector:
                 f"amplitude vector has shape {amps.shape}, expected ({n * m},)"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > STATE_NORM_TOL:
-            raise ValueError(f"state norm {float(norm)} is not 1 within {STATE_NORM_TOL}")
+        if abs(norm - 1.0) > UNIT_TOL:
+            raise ValueError(f"state norm {float(norm)} is not 1 within {UNIT_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "dims", (int(n), int(m)))
@@ -295,8 +292,8 @@ def _prepare_alpha(inst: BanditInstance, alpha: np.ndarray | None) -> np.ndarray
     if not np.isfinite(a).all():
         raise ValueError("alpha must be finite")
     norm = np.linalg.norm(a)
-    if abs(norm - 1.0) > ALPHA_TOL:
-        raise ValueError(f"alpha norm {float(norm)} is not 1 within {ALPHA_TOL}")
+    if abs(norm - 1.0) > UNIT_TOL:
+        raise ValueError(f"alpha norm {float(norm)} is not 1 within {UNIT_TOL}")
     # exact unit norm, so the closed-form weights |alpha|^2 sum to 1
     return a / norm
 

@@ -55,7 +55,6 @@ class RngStream:
 class UcbeTrace:
     """One episode: pull counts, empirical means, and the final recommendation."""
 
-    T: int
     pulls: np.ndarray
     means: np.ndarray
     rewards_total: int
@@ -167,7 +166,6 @@ def run_ucbe(
     pulls = pulls[0].astype(np.int64)
     pulls.setflags(write=False)
     return UcbeTrace(
-        T=int(T),
         pulls=pulls,
         means=means,
         rewards_total=int(sums.sum()),

@@ -118,6 +118,13 @@ def test_scale_has_slope_header(capsys):
     assert all(row["error"] == "" for row in rows)
 
 
+def test_scale_through_one_size_has_no_slope(capsys):
+    assert main(["scale", "--family", "one-good-arm", "--sizes", "4,4"]) == 0
+    out, err = capsys.readouterr()
+    assert "# slope = None" in out.splitlines()
+    assert err == ""
+
+
 def test_json_payload(capsys, instance_path):
     code = main(["compare", "--instance", instance_path, "--format", "json"])
     assert code == 0

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from helpers import four_arm_exact, perturb_compare_runs
-from qbandit.comparison import compare, scaling_experiment
+from qbandit.comparison import ComparisonReport, compare, scaling_experiment
 from qbandit.errors import InvariantViolation
 from qbandit.instances import bernoulli_instance, one_good_arm, two_tier
+from qbandit.qbai import success_probability
 
 
 def test_compare_frozen_chain():
@@ -49,13 +50,28 @@ def test_compare_attained_fallback():
     assert report.ratio == pytest.approx(557.5)
 
 
-def test_compare_single_arm_trivial():
-    report = compare(bernoulli_instance([0.4]))
-    assert report.n_arms == 1
-    assert report.n_star == 0
-    assert report.qbai_success == 1.0
-    assert report.t_classical is None
-    assert not report.simulated
+@pytest.mark.parametrize("value", [0.4, 1.0])   # 1.0 leaves q = 0
+@pytest.mark.parametrize(
+    "alpha", [None, [1.0], [-1.0], [np.exp(0.7j)]], ids=["uniform", "one", "minus-one", "complex"]
+)
+def test_compare_single_arm_trivial(value, alpha):
+    """One arm needs no search, whatever its value or unit amplitude."""
+    inst = bernoulli_instance([value])
+    alpha = None if alpha is None else np.array(alpha)
+    report = compare(inst, alpha, instance_id="one")
+    assert report == ComparisonReport(
+        instance_id="one",
+        n_arms=1,
+        n_env=2,
+        p_success=success_probability(inst, alpha).p,
+        n_star=0,
+        qbai_success=1.0,
+        delta_matched=0.0,
+        delta_classical=None,
+        t_classical=None,
+        ratio=None,
+        simulated=False,
+    )
 
 
 def test_compare_respects_sim_cap():
@@ -136,5 +152,10 @@ def test_scaling_experiment_marks_failed_rows():
 
 
 def test_scaling_experiment_needs_two_points_for_a_slope():
-    result = scaling_experiment(one_good_arm, (4,))
-    assert result.slope is None
+    """The points must hold two distinct sizes: rows at one size give no line
+    to fit, so numpy is never asked to (it would warn and return a number)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sizes in [(4,), (4, 4), (1, 4, 4)]:
+            assert scaling_experiment(one_good_arm, sizes).slope is None
+        assert scaling_experiment(one_good_arm, (4, 4, 8)).slope is not None
