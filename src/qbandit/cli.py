@@ -49,7 +49,11 @@ from .ucbe import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a command needs; the header block records it verbatim."""
+    """Everything a command needs; the header block records it verbatim.
+
+    The field defaults are the CLI's defaults: the parser leaves an unset
+    option out of its namespace, and sets only validate's n and scale's sizes.
+    """
 
     command: str
     instance: str | None = None
@@ -69,17 +73,10 @@ class RunConfig:
     output: str | None = None
 
 
-def _phase_rng(cfg: RunConfig) -> np.random.Generator | None:
-    if cfg.phases == "random":
-        return RngStream(cfg.seed, 0).generator()
-    return None
-
-
 def _sweep(cfg: RunConfig, inst: BanditInstance, alpha):
     """The simulated run after each of n = 0..cfg.n steps."""
-    ops = build_operators(
-        inst, alpha, reflection=cfg.reflection, phase_rng=_phase_rng(cfg)
-    )
+    phase_rng = RngStream(cfg.seed, 0).generator() if cfg.phases == "random" else None
+    ops = build_operators(inst, alpha, reflection=cfg.reflection, phase_rng=phase_rng)
     return sweep(ops, cfg.n)
 
 
@@ -267,14 +264,12 @@ def _emit(cfg: RunConfig, fieldnames: list[str], rows: Iterable[tuple], extra: d
         raise
 
 
-def run_command(cfg: RunConfig) -> int:
-    """Execute one configured command, writing its table; returns the exit code."""
-    fieldnames, rows, extra = _COMMANDS[cfg.command](cfg)
-    _emit(cfg, fieldnames, rows, extra)
-    return 0
-
-
 class _Parser(argparse.ArgumentParser):
+    # an option left unset stays out of the namespace, so RunConfig's
+    # field default applies
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     # argparse exits 2 on bad flags by default; 2 means "degenerate instance" here
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -292,6 +287,10 @@ def _count_arg(text: str) -> int:
     return value
 
 
+# largest arm count scale accepts; a run's memory grows with N
+SIZE_CEILING = 1 << 20
+
+
 def _sizes_arg(text: str) -> tuple[int, ...]:
     try:
         sizes = tuple(int(part) for part in text.split(",") if part.strip())
@@ -299,6 +298,9 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}")
     if not sizes:
         raise argparse.ArgumentTypeError("sizes list is empty")
+    if max(sizes) > SIZE_CEILING:
+        raise argparse.ArgumentTypeError(
+            f"size {max(sizes)} is above the ceiling {SIZE_CEILING}")
     return sizes
 
 
@@ -311,42 +313,40 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, *, instance: bool = True) -> None:
         if instance:
             p.add_argument("--instance", required=True, help="instance file (JSON)")
-        p.add_argument("-o", "--output", default=None,
-                       help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=_count_arg, default=0,
+        p.add_argument("-o", "--output", help="output path (stdout when omitted)")
+        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--seed", type=_count_arg,
                        help="base seed for every random stream in the run")
 
-    def steps(p: argparse.ArgumentParser, default: int) -> None:
-        p.add_argument("--n", type=_count_arg, default=default,
-                       help="largest step count in the sweep")
+    def steps(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--n", type=_count_arg, help="largest step count in the sweep")
 
     def variants(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--reflection", choices=REFLECTIONS, default="composite")
-        p.add_argument("--phases", choices=("real", "random"), default="real")
+        p.add_argument("--reflection", choices=REFLECTIONS)
+        p.add_argument("--phases", choices=("real", "random"))
 
     def sim_cap(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--sim-cap", dest="sim_cap", type=_count_arg, default=SIM_CAP,
+        p.add_argument("--sim-cap", dest="sim_cap", type=_count_arg,
                        help="largest N*M the cross-checking simulation touches")
 
     p = sub.add_parser("simulate", help="state-vector recommendation tables")
     common(p)
-    steps(p, 10)
+    steps(p)
     variants(p)
 
     p = sub.add_parser("analytic", help="closed-form recommendation tables")
     common(p)
-    steps(p, 10)
+    steps(p)
 
     p = sub.add_parser("ucbe", help="Monte Carlo error of the classical baseline")
     common(p)
     p.add_argument("-T", "--rounds", type=_count_arg, required=True,
                    help="rounds per episode")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--explore", type=float, default=None,
+    p.add_argument("--trials", type=int)
+    p.add_argument("--explore", type=float,
                    help="exploration strength (default: tuned from the instance)")
-    p.add_argument("--bonus", choices=BONUS_VARIANTS, default="per-arm")
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--bonus", choices=BONUS_VARIANTS)
+    p.add_argument("--delta", type=float,
                    help="also report the bound-implied minimum rounds at this confidence gap")
 
     p = sub.add_parser("compare", help="quantum vs classical on one instance")
@@ -363,19 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="closed form vs simulator; exit 3 on mismatch")
     common(p)
-    steps(p, 50)
+    steps(p)
+    p.set_defaults(n=50)
     variants(p)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        key: value
-        for key, value in vars(args).items()
-        if key in RunConfig.__dataclass_fields__ and value is not None
-    }
-    return RunConfig(**fields)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -384,14 +376,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config_from_args(args)
+    cfg = RunConfig(**vars(args))
     # the warning filters stay as they are; only the display changes, and
     # leaving the block restores it
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(
             f"qbandit: warning: {message}", file=sys.stderr)
         try:
-            return run_command(cfg)
+            _emit(cfg, *_COMMANDS[cfg.command](cfg))
         except DegenerateInstance as exc:
             print(f"qbandit: degenerate instance: {exc}", file=sys.stderr)
             return 2
@@ -401,6 +393,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (QbanditError, ValueError, OSError) as exc:
             print(f"qbandit: error: {exc}", file=sys.stderr)
             return 1
+    return 0
 
 
 if __name__ == "__main__":

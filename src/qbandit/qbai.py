@@ -218,16 +218,6 @@ class ClosedForm:
             raise ValueError(f"step count must be non-negative, got {n.min()}")
         return (2 * n + 1) * self.theta
 
-    @property
-    def ceiling(self) -> float:
-        """w_x* a_x* / p: the optimal arm's probability bound over all n.
-
-        x* is the true best arm (lowest index on ties); with non-uniform alpha
-        the argmax of p_rec may differ from it.
-        """
-        x_star = int(np.argmax(self.a))
-        return float(self.w[x_star] * self.a[x_star] / self.p)
-
     def _squares(self, n):
         """sin^2 and cos^2 of (2n+1) theta.
 

@@ -5,7 +5,7 @@ bonus on top of the empirical mean.  The default bonus sqrt(explore / pulls_x)
 shrinks per arm with its pull count, matching the Hoeffding radius the
 analysis needs; bonus="printed" selects the round-wide sqrt(explore / (t - 1))
 form instead, which shifts every score equally and so degenerates to the
-greedy choice.
+greedy choice: it runs as the per-arm bonus with explore = 0.
 
 Randomness policy: every consumer derives a fresh generator from an explicit
 (seed, stream) pair, one uniform draw per round, so any trial can be replayed
@@ -129,6 +129,9 @@ def _lockstep(
     scores = np.zeros((count, n))
     sums_flat, pulls_flat, scores_flat = sums.ravel(), pulls.ravel(), scores.ravel()
     offsets = np.arange(count) * n
+    # the printed bonus shifts every score equally; ranking means alone is
+    # the per-arm rule with no bonus, and s / p + 0.0 is s / p bit for bit
+    scale = explore if bonus == "per-arm" else 0.0
     for t in range(T):
         k = t % width
         if k == 0:
@@ -142,11 +145,7 @@ def _lockstep(
         p = pulls_flat.take(flat) + 1
         sums_flat[flat] = s
         pulls_flat[flat] = p
-        if bonus == "per-arm":
-            scores_flat[flat] = s / p + np.sqrt(explore / p)
-        else:
-            # round-wide bonus shifts every score equally; compare means only
-            scores_flat[flat] = s / p
+        scores_flat[flat] = s / p + np.sqrt(scale / p)
     return sums, pulls
 
 

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 
 from qbandit import BanditInstance, bernoulli_instance, comparison
-from qbandit.qbai import QbaiRun, build_operators, sweep
+from qbandit.qbai import ClosedForm, QbaiRun, build_operators, sweep
 
 # share of random instances whose rewarded mass is scaled down to a tiny p
 TINY_P_SHARE = 0.25
@@ -32,6 +32,16 @@ def variant_run(inst: BanditInstance, alpha: np.ndarray | None, n: int,
     keywords, reflection and phase_rng."""
     *_, run = sweep(build_operators(inst, alpha, **variant), n)
     return run
+
+
+def ceiling(model: ClosedForm) -> float:
+    """w_x* a_x* / p: the optimal arm's probability bound over all n.
+
+    x* is the true best arm (lowest index on ties); with non-uniform alpha
+    the argmax of p_rec may differ from it.
+    """
+    x_star = int(np.argmax(model.a))
+    return float(model.w[x_star] * model.a[x_star] / model.p)
 
 
 def one_good(n_arms: int, value: float) -> BanditInstance:

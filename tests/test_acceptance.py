@@ -28,7 +28,7 @@ from qbandit.qbai import (
 )
 from qbandit.ucbe import RngStream, estimate_error, tuned_explore, ucbe_error_bound
 
-from helpers import four_arm_exact, random_instance, two_arm_stochastic
+from helpers import ceiling, four_arm_exact, random_instance, two_arm_stochastic
 
 N_INSTANCES = 200
 N_MAX_STEPS = 50
@@ -115,7 +115,7 @@ def test_criterion_3(inst):
     peak = model.p_rec(model.n_star)
     x_star = summarize(inst).x_star
     assert peak[x_star] == pytest.approx(1.0, abs=1e-12)
-    assert peak[x_star] == model.ceiling
+    assert peak[x_star] == ceiling(model)
 
     run = run_qbai(inst, n=1)
     assert run.p_rec[x_star] == pytest.approx(1.0, abs=1e-12)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import gc
 import io
@@ -76,6 +77,49 @@ def test_config_header_excludes_output_path(capsys, instance_path, tmp_path):
     assert "output" not in config
     assert config["command"] == "compare"
     assert config["seed"] == 0
+
+
+# the header every command records when given only its required arguments
+_DEFAULT_CONFIG = {
+    "bonus": "per-arm", "command": None, "delta": None, "explore": None,
+    "family": None, "format": "csv", "instance": None, "n": 10,
+    "phases": "real", "reflection": "composite", "rounds": 100, "seed": 0,
+    "sim_cap": 4096, "sizes": None, "trials": 1000,
+}
+
+
+@pytest.mark.parametrize("command, args, fields", [
+    ("simulate", [], {}),
+    ("analytic", [], {}),
+    ("ucbe", ["-T", "40"], {"rounds": 40}),
+    ("compare", [], {}),
+    ("scale", ["--family", "two-tier"],
+     {"instance": None, "family": "two-tier",
+      "sizes": [4, 8, 16, 32, 64, 128, 256, 512, 1024]}),
+    ("validate", [], {"n": 50}),
+])
+def test_default_config_header(capsys, instance_path, command, args, fields):
+    """Each command run with only its required arguments records these
+    defaults, byte for byte, in its config line."""
+    if command != "scale":
+        args = ["--instance", instance_path, *args]
+    header, _ = run_csv(capsys, [command, *args])
+    expected = {**_DEFAULT_CONFIG, "command": command, "instance": instance_path,
+                **fields}
+    config_line = next(line for line in header if line.startswith("# config = "))
+    assert json.loads(config_line.removeprefix("# config = ")) == expected
+    assert config_line == "# config = " + json.dumps(expected, sort_keys=True)
+
+
+def test_scale_sizes_above_the_ceiling_are_rejected(capsys):
+    assert cli._sizes_arg("1048576") == (1048576,)
+    with pytest.raises(argparse.ArgumentTypeError, match="1048577"):
+        cli._sizes_arg("4,1048577")
+    assert main(["scale", "--family", "two-tier", "--sizes", "4,1048577"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ceiling 1048576" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_table(capsys, instance_path):

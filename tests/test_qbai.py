@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from dense import densify, oracle_matrix, step_matrix
-from helpers import four_arm_exact, one_good, random_instance, two_arm_stochastic, variant_run
+from helpers import (ceiling, four_arm_exact, one_good, random_instance, two_arm_stochastic,
+                     variant_run)
 from qbandit.bandits import BanditInstance, arm_values
 from qbandit.comparison import compare
 from qbandit.errors import DegenerateInstance, InvariantViolation
@@ -458,10 +459,10 @@ def test_tensor_reflection_diverges_from_closed_form():
 def test_peak_recommendation_frozen_values():
     model = success_probability(bernoulli_instance([0.5, 0.1, 0.1, 0.1]))
     assert model.n_star == 1
-    assert model.ceiling == pytest.approx(0.625, rel=1e-12)
+    assert ceiling(model) == pytest.approx(0.625, rel=1e-12)
     assert model.p_rec(model.n_star)[0] == pytest.approx(0.61, rel=1e-12)
     exact = success_probability(four_arm_exact())
-    assert exact.ceiling == 1.0
+    assert ceiling(exact) == 1.0
     assert exact.p_rec(exact.n_star)[0] == 1.0
 
 
@@ -480,7 +481,7 @@ def test_peak_dominates_first_rise_and_ceiling_bounds_everything():
         # the ceiling bounds every step count, not just the first rise
         for n in range(51):
             p_n = analytic_recommendation(inst, None, n)[x_star]
-            assert p_n <= model.ceiling + 1e-12
+            assert p_n <= ceiling(model) + 1e-12
 
 
 def test_run_qbai_validation_and_state():

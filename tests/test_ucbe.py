@@ -176,6 +176,26 @@ def test_estimate_error_matches_sequential_episodes(monkeypatch, bonus):
     assert ci == pytest.approx(1.96 * math.sqrt(e_hat * (1 - e_hat) / trials))
 
 
+@pytest.mark.parametrize("explore", [0.0, 2.5])
+@pytest.mark.parametrize("values", [[0.5, 0.25], [0.5] + [0.4] * 15],
+                         ids=["two-arm", "sixteen-arm"])
+def test_printed_bonus_is_the_per_arm_rule_without_bonus(values, explore):
+    """The round-wide bonus shifts every score equally, so bonus="printed" at
+    any explore runs bit for bit as bonus="per-arm" at explore 0."""
+    inst = bernoulli_instance(values)
+    T = 40 * len(values)
+    for stream in range(4):
+        printed = run_ucbe(inst, T, explore, RngStream(3, stream), bonus="printed")
+        greedy = run_ucbe(inst, T, 0.0, RngStream(3, stream), bonus="per-arm")
+        assert printed.pulls.tobytes() == greedy.pulls.tobytes()
+        assert printed.means.tobytes() == greedy.means.tobytes()
+        assert printed.rewards_total == greedy.rewards_total
+        assert printed.recommendation == greedy.recommendation
+        assert (estimate_error(inst, T, explore, 60, RngStream(3, 10 * stream),
+                               bonus="printed")
+                == estimate_error(inst, T, 0.0, 60, RngStream(3, 10 * stream)))
+
+
 def test_estimate_error_is_chunk_independent(monkeypatch):
     inst = bernoulli_instance([0.6, 0.4])
     monkeypatch.setattr(ucbe, "DEFAULT_CHUNK", 7)
