@@ -32,7 +32,6 @@ from .instances import (
     bernoulli_instance,
     load_instance,
     one_good_arm,
-    save_instance,
     two_tier,
 )
 from .qbai import (
@@ -86,7 +85,6 @@ __all__ = [
     "one_good_arm",
     "run_qbai",
     "run_ucbe",
-    "save_instance",
     "scaling_experiment",
     "success_probability",
     "summarize",

@@ -126,6 +126,7 @@ def load_instance(path: str | Path) -> tuple[BanditInstance, np.ndarray | None]:
                      for v in raw),
                  "field 'alpha': entries must be numbers")
         alpha = np.array(raw, dtype=np.float64)
+        _require(bool(np.isfinite(alpha).all()), "field 'alpha': entries must be finite")
         off = abs(float((alpha ** 2).sum()) - 1.0)
         if off > RESCALE_TOL:
             raise InstanceFormatError(
@@ -141,20 +142,3 @@ def load_instance(path: str | Path) -> tuple[BanditInstance, np.ndarray | None]:
             alpha = alpha / np.linalg.norm(alpha)
     return inst, alpha
 
-
-def save_instance(
-    inst: BanditInstance, path: str | Path, *, alpha: np.ndarray | None = None
-) -> None:
-    """Write an instance file that load_instance reads back value-identical."""
-    data: dict[str, object] = {
-        "N": inst.n_arms,
-        "M": inst.n_env,
-        "nu": [[float(v) for v in row] for row in inst.nu],
-        "f": [[int(v) for v in row] for row in inst.f],
-    }
-    if alpha is not None:
-        a = np.asarray(alpha, dtype=np.float64)
-        if a.shape != (inst.n_arms,):
-            raise ValueError(f"alpha has shape {a.shape}, expected ({inst.n_arms},)")
-        data["alpha"] = [float(v) for v in a]
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")

@@ -34,9 +34,11 @@ such completion gives the same loop; the tensor variant does depend on how
 the environment preparation is completed.
 
 `build_operators` picks the kernel's one dtype.  Real alpha (or the uniform
-default) without phase_rng makes every reflector real and every phase -1 or
-+1, so the reflectors and the buffer are float64; complex alpha or
-phase_rng makes them complex128.  The one step function serves both.
+default) without phase_rng makes every reflector and phase real, so the
+reflectors and the buffer are float64; complex alpha or phase_rng makes them
+complex128.  The one step function serves both.  A real phase is -c0/|c0|
+rounded through a complex division, so it is -1 or +1 to within an ulp, not
+always exactly.
 
 This module alone knows the amplitude layout.  A `StateVector` is the
 validated, read-only x-major state that crosses the package boundary,
@@ -145,15 +147,16 @@ class HouseholderPrep:
         With gamma = -conj(c0)/|c0| (-1 when c0 = 0), v = e0 - gamma c and
         u = v/|v|, the reflector maps e0 to gamma c, so g = conj(gamma)
         restores c.  v0 = 1 + |c0| >= 1, so no column is a degenerate case.
-        Every u and g is unit by construction, so W is unitary.  The norms
-        are taken along contiguous rows, one reflector each, before each
-        reflector is laid along buffer axis `axis`.
+        Every u and g is unit up to rounding, so W is unitary up to rounding.
+        The norms are taken along contiguous rows, one reflector each, before
+        each reflector is laid along buffer axis `axis`.
 
-        Real columns give real u and g = -sign(c0), stored as float64; any
-        other columns give complex128.  Real columns are still normalized in
-        complex arithmetic, whose division multiplies by a reciprocal, so
-        their reflectors are, bit for bit, the real parts of those the same
-        columns cast to complex give.
+        Real columns give real u and g, stored as float64; any other columns
+        give complex128.  Real columns are still normalized in complex
+        arithmetic, whose division multiplies by a reciprocal, so their
+        reflectors are, bit for bit, the real parts of those the same columns
+        cast to complex give.  That division can also leave a real g one ulp
+        inside -1 rather than exactly -sign(c0).
         """
         real = not np.iscomplexobj(columns)
         c = np.array(columns, dtype=np.complex128)
@@ -436,8 +439,8 @@ def grover_step(ops: QbaiOperators, s: StateVector) -> StateVector:
 
 def _evolve(ops: QbaiOperators, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, amps) for n = 0..n_max, amps one private buffer stepped in
-    place, in the operators' dtype."""
-    amps = _buffer(ops.psi0_state, ops.prep_agent.u.dtype)
+    place, in the dtype of psi0_state, which is the operators' dtype."""
+    amps = _buffer(ops.psi0_state)
     work = np.empty_like(amps)
     for n in range(n_max + 1):
         if n > 0:

@@ -3,9 +3,9 @@
 The policy pulls every arm once, then pulls the arm maximizing an optimism
 bonus on top of the empirical mean.  The default bonus sqrt(explore / pulls_x)
 shrinks per arm with its pull count, matching the Hoeffding radius the
-analysis needs; bonus="printed" selects the round-wide sqrt(explore / (t - 1))
-form instead, which shifts every score equally and so degenerates to the
-greedy choice: it runs as the per-arm bonus with explore = 0.
+analysis needs; estimate_error's bonus="printed" selects the round-wide
+sqrt(explore / (t - 1)) form instead, which shifts every score equally and so
+degenerates to the greedy choice: it runs as the per-arm bonus with explore = 0.
 
 Randomness policy: every consumer derives a fresh generator from an explicit
 (seed, stream) pair, one uniform draw per round, so any trial can be replayed
@@ -57,7 +57,6 @@ class UcbeTrace:
 
     pulls: np.ndarray
     means: np.ndarray
-    rewards_total: int
     recommendation: int
 
 
@@ -71,13 +70,17 @@ def tuned_explore(summary: InstanceSummary, T: int) -> float:
     return (25.0 / 36.0) * (T - n) / summary.h1
 
 
-def _check_args(inst: BanditInstance, T: int, explore: float, bonus: str) -> None:
+def _check_args(inst: BanditInstance, T: int, explore: float, bonus: str) -> float:
+    """Check the arguments; return the scale in the per-arm bonus sqrt(scale / p)."""
     if bonus not in BONUS_VARIANTS:
         raise ValueError(f"bonus must be one of {BONUS_VARIANTS}, got {bonus!r}")
     if not math.isfinite(explore) or explore < 0:
         raise ValueError(f"explore must be finite and non-negative, got {explore}")
     if T < inst.n_arms:
         raise DegenerateInstance(f"budget T={T} below arm count N={inst.n_arms}")
+    # the printed bonus shifts every score equally; ranking means alone is
+    # the per-arm rule with no bonus, and s / p + 0.0 is s / p bit for bit
+    return explore if bonus == "per-arm" else 0.0
 
 
 def _draw(
@@ -100,14 +103,15 @@ def _draw(
 def _lockstep(
     inst: BanditInstance,
     T: int,
-    explore: float,
+    scale: float,
     rng: RngStream,
     start: int,
     count: int,
-    bonus: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reward sums and pull counts, shape (count, N), of trials [start, start + count).
 
+    After one pull of each arm, each round pulls the arm maximizing
+    s / p + sqrt(scale / p), s the arm's reward sum and p its pull count.
     Trial i consumes stream rng.stream + start + i, one uniform per round in
     round order.  Uniforms come in blocks of rounds no larger than
     UNIFORM_BLOCK_BYTES, one row per trial, and round k of a block is read
@@ -129,9 +133,6 @@ def _lockstep(
     scores = np.zeros((count, n))
     sums_flat, pulls_flat, scores_flat = sums.ravel(), pulls.ravel(), scores.ravel()
     offsets = np.arange(count) * n
-    # the printed bonus shifts every score equally; ranking means alone is
-    # the per-arm rule with no bonus, and s / p + 0.0 is s / p bit for bit
-    scale = explore if bonus == "per-arm" else 0.0
     for t in range(T):
         k = t % width
         if k == 0:
@@ -149,27 +150,16 @@ def _lockstep(
     return sums, pulls
 
 
-def run_ucbe(
-    inst: BanditInstance,
-    T: int,
-    explore: float,
-    rng: RngStream,
-    *,
-    bonus: str = "per-arm",
-) -> UcbeTrace:
-    """One UCB-E episode of T rounds; bit-for-bit reproducible from (seed, stream)."""
-    _check_args(inst, T, explore, bonus)
-    sums, pulls = _lockstep(inst, T, explore, rng, 0, 1, bonus)
+def run_ucbe(inst: BanditInstance, T: int, explore: float, rng: RngStream) -> UcbeTrace:
+    """One UCB-E episode of T rounds under the per-arm bonus; bit-for-bit
+    reproducible from (seed, stream)."""
+    scale = _check_args(inst, T, explore, "per-arm")
+    sums, pulls = _lockstep(inst, T, scale, rng, 0, 1)
     means = sums[0] / pulls[0]
     means.setflags(write=False)
     pulls = pulls[0].astype(np.int64)
     pulls.setflags(write=False)
-    return UcbeTrace(
-        pulls=pulls,
-        means=means,
-        rewards_total=int(sums.sum()),
-        recommendation=int(np.argmax(means)),
-    )
+    return UcbeTrace(pulls=pulls, means=means, recommendation=int(np.argmax(means)))
 
 
 def estimate_error(
@@ -185,16 +175,17 @@ def estimate_error(
 
     Trial i uses stream rng.stream + i, so the estimate is reproducible and
     independent of chunking.  Chunks of DEFAULT_CHUNK trials run in vectorized
-    lockstep; each trial is draw-for-draw identical to run_ucbe on its own stream.
+    lockstep; each trial is draw-for-draw identical to run_ucbe on its own
+    stream, at explore = 0 under the printed bonus.
     """
-    _check_args(inst, T, explore, bonus)
+    scale = _check_args(inst, T, explore, bonus)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     x_star = summarize(inst).x_star
     wrong = 0
     for start in range(0, trials, DEFAULT_CHUNK):
         count = min(DEFAULT_CHUNK, trials - start)
-        sums, pulls = _lockstep(inst, T, explore, rng, start, count, bonus)
+        sums, pulls = _lockstep(inst, T, scale, rng, start, count)
         wrong += int((np.argmax(sums / pulls, axis=1) != x_star).sum())
     e_hat = wrong / trials
     ci = 1.96 * math.sqrt(e_hat * (1.0 - e_hat) / trials)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 
@@ -24,6 +25,12 @@ def two_arm_stochastic() -> BanditInstance:
         nu=np.array([[0.5, 0.5], [0.5, 0.5]]),
         f=np.array([[1, 0], [0, 0]]),
     )
+
+
+def write_instance(path, inst: BanditInstance, alpha=None) -> None:
+    """Write inst, and alpha when given, to the instance file at path (a Path)."""
+    data = {"N": inst.n_arms, "M": inst.n_env, "nu": inst.nu.tolist(), "f": inst.f.tolist()}
+    path.write_text(json.dumps(data if alpha is None else {**data, "alpha": alpha.tolist()}))
 
 
 def variant_run(inst: BanditInstance, alpha: np.ndarray | None, n: int,

@@ -17,7 +17,7 @@ import pytest
 from qbandit.bandits import summarize
 from qbandit.cli import main
 from qbandit.comparison import scaling_experiment
-from qbandit.instances import FAMILIES, bernoulli_instance, save_instance
+from qbandit.instances import FAMILIES, bernoulli_instance
 from qbandit.qbai import (
     analytic_recommendation,
     build_operators,
@@ -28,7 +28,8 @@ from qbandit.qbai import (
 )
 from qbandit.ucbe import RngStream, estimate_error, tuned_explore, ucbe_error_bound
 
-from helpers import ceiling, four_arm_exact, random_instance, two_arm_stochastic
+from helpers import (ceiling, four_arm_exact, random_instance, two_arm_stochastic,
+                     write_instance)
 
 N_INSTANCES = 200
 N_MAX_STEPS = 50
@@ -180,7 +181,7 @@ def _strip_timestamp(path) -> str:
 
 def test_criterion_7(tmp_path):
     inst_path = tmp_path / "inst.json"
-    save_instance(bernoulli_instance([0.5, 0.25, 0.25, 0.25]), inst_path)
+    write_instance(inst_path, bernoulli_instance([0.5, 0.25, 0.25, 0.25]))
     commands = [
         ["simulate", "--instance", str(inst_path), "--n", "12", "--seed", "3",
          "--phases", "random"],
@@ -202,7 +203,7 @@ def test_criterion_7(tmp_path):
 def test_csv_and_json_agree_on_values(tmp_path):
     """Same command, both formats: the row data must be the same numbers."""
     inst_path = tmp_path / "inst.json"
-    save_instance(bernoulli_instance([0.5, 0.25, 0.25, 0.25]), inst_path)
+    write_instance(inst_path, bernoulli_instance([0.5, 0.25, 0.25, 0.25]))
     csv_path = tmp_path / "out.csv"
     json_path = tmp_path / "out.json"
     assert main(["compare", "--instance", str(inst_path),

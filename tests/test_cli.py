@@ -15,21 +15,21 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import perturb_compare_runs
+from helpers import perturb_compare_runs, write_instance
 from qbandit import cli
 from qbandit.bandits import BanditInstance
 from qbandit.cli import main
 from qbandit.comparison import compare
 from qbandit.errors import (DegenerateInstance, InstanceFormatError, InvariantViolation,
                             QbanditError)
-from qbandit.instances import bernoulli_instance, load_instance, save_instance
+from qbandit.instances import bernoulli_instance, load_instance
 from qbandit.qbai import build_operators, cross_check, success_probability, sweep
 
 
 @pytest.fixture()
 def instance_path(tmp_path):
     path = tmp_path / "inst.json"
-    save_instance(bernoulli_instance([0.5, 0.25, 0.25, 0.25]), path)
+    write_instance(path, bernoulli_instance([0.5, 0.25, 0.25, 0.25]))
     return str(path)
 
 
@@ -58,7 +58,7 @@ def test_compare_csv_schema(capsys, instance_path):
 
 def test_compare_blank_cells_for_not_applicable(capsys, tmp_path):
     path = tmp_path / "exact.json"
-    save_instance(bernoulli_instance([1.0, 0.0, 0.0, 0.0]), path)
+    write_instance(path, bernoulli_instance([1.0, 0.0, 0.0, 0.0]))
     _, rows = run_csv(capsys, ["compare", "--instance", str(path)])
     assert rows[0]["t_classical"] == ""
     assert rows[0]["ratio"] == ""
@@ -205,7 +205,7 @@ def test_exit_code_validation_failure(tmp_path, capsys):
 
 def test_exit_code_degenerate(tmp_path, capsys):
     path = tmp_path / "tied.json"
-    save_instance(bernoulli_instance([0.4, 0.4]), path)
+    write_instance(path, bernoulli_instance([0.4, 0.4]))
     assert main(["ucbe", "--instance", str(path), "-T", "50"]) == 2
     assert "degenerate" in capsys.readouterr().err
 
@@ -213,7 +213,7 @@ def test_exit_code_degenerate(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["analytic", "compare", "simulate", "validate"])
 def test_exit_code_no_reachable_reward(tmp_path, capsys, command):
     path = tmp_path / "p0.json"
-    save_instance(bernoulli_instance([0.0, 0.0]), path)
+    write_instance(path, bernoulli_instance([0.0, 0.0]))
     assert main([command, "--instance", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -253,7 +253,7 @@ def test_exit_code_invariant_violation(tmp_path, capsys):
     """The tensor-product reflection is a genuinely different operator for
     M > 1, so validating it against the closed form must fail loudly."""
     path = tmp_path / "inst.json"
-    save_instance(bernoulli_instance([0.5, 0.25]), path)
+    write_instance(path, bernoulli_instance([0.5, 0.25]))
     code = main(["validate", "--instance", str(path), "--reflection", "tensor"])
     assert code == 3
     assert "disagree" in capsys.readouterr().err
@@ -334,11 +334,7 @@ def test_unknown_family(capsys):
 
 def test_alpha_in_instance_file_is_used(capsys, tmp_path):
     path = tmp_path / "weighted.json"
-    save_instance(
-        bernoulli_instance([0.5, 0.25]),
-        path,
-        alpha=np.sqrt([0.9, 0.1]),
-    )
+    write_instance(path, bernoulli_instance([0.5, 0.25]), alpha=np.sqrt([0.9, 0.1]))
     _, rows = run_csv(capsys, ["analytic", "--instance", str(path), "--n", "0"])
     assert float(rows[0]["p0"]) == pytest.approx(0.9, abs=1e-12)
 
@@ -412,7 +408,7 @@ def test_all_rewarded_rows_above_one(capsys, tmp_path):
     """Rows summing to 1 + 1e-10 pass unrescaled; the law must not fail on them."""
     path = tmp_path / "inst.json"
     nu = np.array([[0.5, 0.5000000001], [0.25, 0.7500000001]])
-    save_instance(BanditInstance(nu=nu, f=np.ones((2, 2), dtype=int)), path)
+    write_instance(path, BanditInstance(nu=nu, f=np.ones((2, 2), dtype=int)))
     _, rows = run_csv(capsys, ["analytic", "--instance", str(path), "--n", "3"])
     assert [float(r["amplified"]) for r in rows] == [1.0] * 4
     _, rows = run_csv(capsys, ["validate", "--instance", str(path), "--n", "3"])
@@ -420,14 +416,17 @@ def test_all_rewarded_rows_above_one(capsys, tmp_path):
 
 
 def test_non_finite_alpha_rejected(capsys, tmp_path):
+    """A NaN fails every comparison, so the norm test alone would pass it; the
+    file is rejected, with the field named, before any command runs."""
     path = tmp_path / "nan-alpha.json"
     path.write_text('{"N": 2, "M": 2, "nu": [[0.5, 0.5], [0.25, 0.75]], '
                     '"f": [[1, 0], [1, 0]], "alpha": [NaN, 1.0]}\n')
-    for command in ("compare", "analytic"):
-        assert main([command, "--instance", str(path)]) == 1
+    for argv in (["ucbe", "-T", "20", "--trials", "5"], ["analytic"], ["validate"],
+                 ["compare"], ["simulate"]):
+        assert main([*argv, "--instance", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "alpha must be finite" in captured.err
+        assert "field 'alpha': entries must be finite" in captured.err
 
 
 def _failing_sweep(exc: Exception, after: int):
@@ -497,7 +496,7 @@ def test_write_json_sorts_twelve_arm_columns_as_json_dumps(tmp_path):
     """A simulate table on 12 arms, where p10 and p11 sort between p1 and
     p2, is written as json.dumps(indent=2, sort_keys=True) writes it."""
     path = tmp_path / "twelve.json"
-    save_instance(bernoulli_instance(np.linspace(0.05, 0.6, 12)), path)
+    write_instance(path, bernoulli_instance(np.linspace(0.05, 0.6, 12)))
     cfg = cli.RunConfig(command="simulate", instance=str(path), n=4, format="json")
     fieldnames, rows, _ = cli._COMMANDS["simulate"](cfg)
     rows = list(rows)
@@ -512,8 +511,8 @@ def test_write_json_sorts_twelve_arm_columns_as_json_dumps(tmp_path):
 
 def _round_trip_commands(tmp_path, instance_path):
     all_rewarded = tmp_path / "all-rewarded.json"
-    save_instance(BanditInstance(nu=np.array([[0.5, 0.5], [0.25, 0.75]]),
-                                 f=np.ones((2, 2), dtype=int)), all_rewarded)
+    write_instance(all_rewarded, BanditInstance(nu=np.array([[0.5, 0.5], [0.25, 0.75]]),
+                                                f=np.ones((2, 2), dtype=int)))
     return {
         "simulate": ["simulate", "--instance", instance_path, "--n", "5",
                      "--phases", "random", "--seed", "2"],
@@ -593,7 +592,7 @@ def test_simulate_memory_stays_flat_in_n(tmp_path):
     """A long sweep holds one state, not a row per step; holding the
     rows took about 3 MB here, nine times the file."""
     path = tmp_path / "two-arm.json"
-    save_instance(bernoulli_instance([0.5, 0.25]), path)
+    write_instance(path, bernoulli_instance([0.5, 0.25]))
     out = tmp_path / "simulate.json"
     peak = _traced_peak(["simulate", "--instance", str(path),
                          "--format", "json", "-o", str(out)], 2_000)

@@ -568,13 +568,17 @@ def test_operator_dtype_follows_alpha_and_phases():
 
 
 def _as_complex(ops):
-    """The same operators with every reflector and phase cast to complex128."""
+    """The same operators with every reflector and phase, and the prepared
+    state, cast to complex128: the kernel's dtype is the prepared state's."""
     def cast(prep):
         return dataclasses.replace(prep, **{
             name: getattr(prep, name).astype(np.complex128)
             for name in ("u", "u_conj", "phase", "phase_conj")})
+    psi0 = ops.psi0_state
     return dataclasses.replace(ops, prep_agent=cast(ops.prep_agent),
-                               prep_env=cast(ops.prep_env))
+                               prep_env=cast(ops.prep_env),
+                               psi0_state=dataclasses.replace(
+                                   psi0, amps=psi0.amps.astype(np.complex128)))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -51,6 +51,12 @@ def reference_episode(inst: BanditInstance, T: int, explore: float, stream: RngS
     return sums, pulls
 
 
+def per_arm_explore(explore: float, bonus: str) -> float:
+    """The explore at which run_ucbe, always per-arm, runs the episodes that
+    estimate_error runs under bonus: the printed bonus ranks means alone."""
+    return explore if bonus == "per-arm" else 0.0
+
+
 def three_arm_three_outcome() -> BanditInstance:
     """Arms worth 0.5, 0.6 and 0.55; two reward rows are non-monotone in y."""
     return BanditInstance(
@@ -116,7 +122,6 @@ def test_run_ucbe_hand_trace():
     trace = run_ucbe(two, 4, 0.0, RngStream(0))
     assert np.array_equal(trace.pulls, [3, 1])
     assert np.array_equal(trace.means, [1.0, 0.0])
-    assert trace.rewards_total == 3
     assert trace.recommendation == 0
     assert run_ucbe(inst, 12, 1.0, RngStream(0)).recommendation == 0
 
@@ -127,8 +132,6 @@ def test_run_ucbe_validation():
         run_ucbe(inst, 1, 1.0, RngStream(0))
     with pytest.raises(ValueError):
         run_ucbe(inst, 10, -1.0, RngStream(0))
-    with pytest.raises(ValueError):
-        run_ucbe(inst, 10, 1.0, RngStream(0), bonus="round")
     for explore in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             run_ucbe(inst, 10, explore, RngStream(0))
@@ -140,7 +143,6 @@ def test_run_ucbe_accounting_and_reproducibility():
     b = run_ucbe(inst, 157, 2.0, RngStream(5, 9))
     assert int(a.pulls.sum()) == 157
     assert np.all(a.pulls >= 1)
-    assert a.rewards_total == int(round((a.means * a.pulls).sum()))
     assert np.array_equal(a.pulls, b.pulls)
     assert np.array_equal(a.means, b.means)
     assert a.recommendation == b.recommendation
@@ -151,7 +153,7 @@ def test_run_ucbe_matches_reference_policy(bonus):
     for inst, T in ((three_arm_three_outcome(), 61), (four_arm_exact(), 40)):
         explore = tuned_explore(summarize(inst), T)
         for i in range(6):
-            trace = run_ucbe(inst, T, explore, RngStream(4, i), bonus=bonus)
+            trace = run_ucbe(inst, T, per_arm_explore(explore, bonus), RngStream(4, i))
             sums, pulls = reference_episode(inst, T, explore, RngStream(4, i), bonus)
             assert trace.pulls.tolist() == pulls
             assert trace.means.tolist() == [s / p for s, p in zip(sums, pulls)]
@@ -166,9 +168,9 @@ def test_estimate_error_matches_sequential_episodes(monkeypatch, bonus):
     monkeypatch.setattr(ucbe, "DEFAULT_CHUNK", 10)
     e_hat, ci = estimate_error(inst, 60, explore, trials, RngStream(5, 100), bonus=bonus)
     x_star = summarize(inst).x_star
+    scale = per_arm_explore(explore, bonus)
     wrong = sum(
-        run_ucbe(inst, 60, explore, RngStream(5, 100 + i), bonus=bonus).recommendation
-        != x_star
+        run_ucbe(inst, 60, scale, RngStream(5, 100 + i)).recommendation != x_star
         for i in range(trials)
     )
     assert e_hat == wrong / trials
@@ -181,16 +183,16 @@ def test_estimate_error_matches_sequential_episodes(monkeypatch, bonus):
                          ids=["two-arm", "sixteen-arm"])
 def test_printed_bonus_is_the_per_arm_rule_without_bonus(values, explore):
     """The round-wide bonus shifts every score equally, so bonus="printed" at
-    any explore runs bit for bit as bonus="per-arm" at explore 0."""
+    any explore runs bit for bit as the per-arm rule at explore 0."""
     inst = bernoulli_instance(values)
     T = 40 * len(values)
+    scale = ucbe._check_args(inst, T, explore, "printed")
     for stream in range(4):
-        printed = run_ucbe(inst, T, explore, RngStream(3, stream), bonus="printed")
-        greedy = run_ucbe(inst, T, 0.0, RngStream(3, stream), bonus="per-arm")
-        assert printed.pulls.tobytes() == greedy.pulls.tobytes()
-        assert printed.means.tobytes() == greedy.means.tobytes()
-        assert printed.rewards_total == greedy.rewards_total
-        assert printed.recommendation == greedy.recommendation
+        sums, pulls = ucbe._lockstep(inst, T, scale, RngStream(3, stream), 0, 1)
+        greedy = run_ucbe(inst, T, 0.0, RngStream(3, stream))
+        assert pulls[0].astype(np.int64).tobytes() == greedy.pulls.tobytes()
+        assert (sums[0] / pulls[0]).tobytes() == greedy.means.tobytes()
+        assert int(np.argmax(sums[0] / pulls[0])) == greedy.recommendation
         assert (estimate_error(inst, T, explore, 60, RngStream(3, 10 * stream),
                                bonus="printed")
                 == estimate_error(inst, T, 0.0, 60, RngStream(3, 10 * stream)))
@@ -211,14 +213,15 @@ def test_block_boundaries_leave_episodes_unchanged(monkeypatch, bonus):
     inst = three_arm_three_outcome()
     T, trials = 61, 23   # T is prime, so no block width of 2..60 rounds divides it
     explore = tuned_explore(summarize(inst), T)
-    whole = [run_ucbe(inst, T, explore, RngStream(9, i), bonus=bonus) for i in range(trials)]
+    scale = per_arm_explore(explore, bonus)
+    whole = [run_ucbe(inst, T, scale, RngStream(9, i)) for i in range(trials)]
     x_star = summarize(inst).x_star
     wrong = sum(trace.recommendation != x_star for trace in whole)
     assert 0 < wrong < trials
 
     # 560 bytes: 7 rounds per block at 10 trials, 23 at 3, 3 at 23
     monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", 560)
-    sums, pulls = ucbe._lockstep(inst, T, explore, RngStream(9), 0, trials, bonus)
+    sums, pulls = ucbe._lockstep(inst, T, scale, RngStream(9), 0, trials)
     assert np.array_equal(pulls, [trace.pulls for trace in whole])
     assert np.array_equal(sums / pulls, [trace.means for trace in whole])
     for chunk in (10, 4, 1000):
@@ -229,10 +232,9 @@ def test_block_boundaries_leave_episodes_unchanged(monkeypatch, bonus):
     for i, trace in enumerate(whole[:5]):
         for rounds in (1, 3, 7, 60):
             monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", 8 * rounds)
-            blocked = run_ucbe(inst, T, explore, RngStream(9, i), bonus=bonus)
+            blocked = run_ucbe(inst, T, scale, RngStream(9, i))
             assert np.array_equal(blocked.pulls, trace.pulls)
             assert np.array_equal(blocked.means, trace.means)
-            assert blocked.rewards_total == trace.rewards_total
             assert blocked.recommendation == trace.recommendation
 
 
@@ -284,6 +286,8 @@ def test_estimate_error_validation():
         estimate_error(inst, 1, 1.0, 10, RngStream(0))
     with pytest.raises(ValueError, match="finite"):
         estimate_error(inst, 30, math.nan, 10, RngStream(0))
+    with pytest.raises(ValueError, match="bonus must be one of"):
+        estimate_error(inst, 30, 1.0, 10, RngStream(0), bonus="round")
 
 
 def test_error_rate_decays_with_budget():
