@@ -9,11 +9,15 @@ degenerates to the greedy choice: it runs as the per-arm bonus with explore = 0.
 
 Randomness policy: every consumer derives a fresh generator from an explicit
 (seed, stream) pair, one uniform draw per round, so any trial can be replayed
-in isolation and results cannot depend on scheduling or worker count.  The
-kernel draws each trial's uniforms in blocks of rounds; PCG64 random(a)
-followed by random(b) equals random(a + b) bit for bit, so the block width
-changes no draw.  Each round is read straight from the block the generators
-wrote, so the uniforms held stay within UNIFORM_BLOCK_BYTES whatever T is.
+in isolation and results cannot depend on scheduling or worker count.
+RngStream.generator() defines stream k; for a seed and streams below 2**32
+the kernel computes the same PCG64 seed words for a whole chunk at once,
+so its generators draw exactly as RngStream's would.  The kernel draws each
+trial's uniforms in blocks of rounds; PCG64 random(a) followed by random(b)
+equals random(a + b) bit for bit, so the block width changes no draw.  Each
+round is read straight from the block the generators wrote, so a run holds
+one block of at most UNIFORM_BLOCK_BYTES (2 MiB) whatever T is, plus about
+1 KB per lockstep trial for its generator and state.
 """
 
 from __future__ import annotations
@@ -31,7 +35,12 @@ BONUS_VARIANTS = ("per-arm", "printed")
 DEFAULT_CHUNK = 2500
 # bytes of uniforms drawn per block of rounds (at least one round); the kernel
 # holds one block, whatever T is
-UNIFORM_BLOCK_BYTES = 8 << 20
+UNIFORM_BLOCK_BYTES = 2 << 20
+# numpy's SeedSequence hash constants; NEP 19 fixes its algorithm
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,83 @@ class UcbeTrace:
     pulls: np.ndarray
     means: np.ndarray
     recommendation: int
+
+
+class _SeedWords:
+    """One stream's PCG64 seed words, computed ahead, as numpy's ISeedSequence.
+
+    _generators registers the class as one on first use, so importing this
+    module does not import numpy.random.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed words are 4 uint64, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix: each call hashes one word at the next constant.
+
+    Words are Python ints, kept to 32 bits by the mask, or uint32 arrays,
+    whose arithmetic wraps silently.
+    """
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y):
+    """SeedSequence's mix of pool word x, a Python int, with hashed word y."""
+    value = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_words(seed: int, first: int, count: int) -> np.ndarray:
+    """PCG64 seed words of streams [first, first + count), shape (count, 4):
+    row i is SeedSequence(seed, spawn_key=(first + i,)).generate_state(4, np.uint64).
+
+    For a seed and streams below 2**32 the entropy is (seed, 0, 0, 0, k).
+    SeedSequence hashes the first four words into its pool and mixes the pool,
+    the same for every stream k, and only then hashes k into each pool word.
+    So the pool is mixed once, in Python ints; the streams go through the rest
+    together, as uint32 arrays.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in (seed, 0, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    streams = np.arange(first, first + count, dtype=np.uint32)
+    pool = [_mix(word, hashmix(streams)) for word in pool]
+    emit = _hasher(_INIT_B, _MULT_B)
+    state = np.empty((count, 8), dtype="<u4")
+    for i in range(8):
+        state[:, i] = emit(pool[i % 4])
+    # uint32 pairs read as little-endian uint64, as generate_state reads them
+    return state.view("<u8").astype(np.uint64)
+
+
+def _generators(seed: int, first: int, count: int) -> list[np.random.Generator]:
+    """Generators of streams [first, first + count) of seed; each draws
+    exactly as RngStream(seed, k).generator() does."""
+    if seed > _MASK32 or first + count - 1 > _MASK32:
+        return [RngStream(seed, k).generator() for k in range(first, first + count)]
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row)))
+            for row in _seed_words(seed, first, count)]
 
 
 def tuned_explore(summary: InstanceSummary, T: int) -> float:
@@ -114,18 +200,18 @@ def _lockstep(
     s / p + sqrt(scale / p), s the arm's reward sum and p its pull count.
     Trial i consumes stream rng.stream + start + i, one uniform per round in
     round order.  Uniforms come in blocks of rounds no larger than
-    UNIFORM_BLOCK_BYTES, one row per trial, and round k of a block is read
-    as column k of the block the generators wrote, with no copy.
+    UNIFORM_BLOCK_BYTES, one row per trial, filled through row views made
+    once per block width, and round k of a block is read as column k of the
+    block the generators wrote, with no copy.
     Only the pulled entry of each trial's score row is recomputed per round,
     by the same float operations on the same values as a full recomputation,
     so argmax breaks ties identically.
     """
     n = inst.n_arms
-    gens = [
-        RngStream(rng.seed, rng.stream + start + i).generator() for i in range(count)
-    ]
+    gens = _generators(rng.seed, rng.stream + start, count)
     width = max(1, min(T, UNIFORM_BLOCK_BYTES // (8 * count)))
     drawn = np.empty((count, width))
+    rows = list(drawn)
     cdf = np.cumsum(inst.nu, axis=1)
     sums = np.zeros((count, n))
     # float64 counts are exact and divide without an int64-to-float conversion
@@ -136,9 +222,10 @@ def _lockstep(
     for t in range(T):
         k = t % width
         if k == 0:
-            w = min(width, T - t)
-            for i, gen in enumerate(gens):
-                gen.random(out=drawn[i, :w])
+            if T - t < width:
+                rows = [row[: T - t] for row in rows]
+            for gen, row in zip(gens, rows):
+                gen.random(out=row)
         arms = np.full(count, t) if t < n else scores.argmax(axis=1)
         _, r = _draw(cdf, inst.f, arms, drawn[:, k])
         flat = offsets + arms

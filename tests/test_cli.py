@@ -8,14 +8,19 @@ import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import perturb_compare_runs, write_instance
+import qbandit
 from qbandit import cli
 from qbandit.bandits import BanditInstance
 from qbandit.cli import main
@@ -598,3 +603,13 @@ def test_simulate_memory_stays_flat_in_n(tmp_path):
                          "--format", "json", "-o", str(out)], 2_000)
     assert peak < 400_000
     assert out.stat().st_size > 300_000
+
+
+def test_importing_the_cli_leaves_numpy_random_out():
+    """Commands that never draw do not pay for numpy.random: a fresh
+    interpreter that imports qbandit.cli has not imported it."""
+    src = Path(qbandit.__file__).resolve().parents[1]
+    code = "import sys, qbandit.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert (done.stdout, done.stderr) == ("False\n", "")

@@ -77,6 +77,43 @@ def test_rng_stream_is_reproducible_and_disjoint():
         RngStream(0, -2)
 
 
+def test_seed_words_match_seed_sequence():
+    """A chunk's seed words, computed in bulk, are SeedSequence's, stream for
+    stream, up to the top seed and stream below 2**32."""
+    top = 2**32 - 1
+    for seed in (0, 1, 2**31 - 1, top):
+        for first, count in ((0, 64), (2**31, 1), (top - 1, 2)):
+            words = ucbe._seed_words(seed, first, count)
+            expected = [
+                np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
+                for k in range(first, first + count)
+            ]
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, expected)
+    seq = ucbe._SeedWords(ucbe._seed_words(5, 0, 1)[0])
+    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError, match="seed words"):
+            seq.generate_state(n_words, dtype)
+    for gen, k in zip(ucbe._generators(5, 40, 3), range(40, 43)):
+        assert np.array_equal(gen.random(9), RngStream(5, k).generator().random(9))
+
+
+@pytest.mark.parametrize("seed, first", [(2**32 - 1, 2**32 - 6), (7, 2**32 - 3), (2**32, 0)],
+                         ids=["bulk-top", "straddle", "seed-2-32"])
+def test_lockstep_replays_streams_at_the_bulk_seeding_edge(seed, first):
+    """Chunks at the top of the bulk-seeded range, straddling stream 2**32 or
+    seeded at 2**32 run each trial as the reference replays its stream."""
+    inst = three_arm_three_outcome()
+    T, count = 61, 6
+    explore = tuned_explore(summarize(inst), T)
+    sums, pulls = ucbe._lockstep(inst, T, explore, RngStream(seed, first), 0, count)
+    for i in range(count):
+        ref_sums, ref_pulls = reference_episode(inst, T, explore, RngStream(seed, first + i),
+                                                "per-arm")
+        assert pulls[i].tolist() == ref_pulls
+        assert sums[i].tolist() == ref_sums
+
+
 def test_draw_inverse_cdf():
     inst = bernoulli_instance([0.3])
     # cdf is (0.3, 1.0); u = 0.3 is not below the first entry, so outcome 1
@@ -242,8 +279,9 @@ def test_estimate_error_memory_is_bounded_by_budget(monkeypatch):
     """Held uniforms stay within the block budget, however long the episode.
 
     Drawing all T uniforms of every trial at once would take 200 * 5000 * 8 B
-    = 8 MB here.  Beyond the drawn block, a trial holds one generator (about
-    1 KB traced) and O(N) floats of state.
+    = 8 MB here, against a 64 KiB block.  Beyond the block, a trial holds one
+    generator and one row view of the block (about 860 B traced together) and
+    O(N) floats of state.
     """
     budget = 64 << 10
     monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", budget)
@@ -276,6 +314,22 @@ def test_uniforms_are_held_once(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= budget + 2048 * trials * inst.n_arms
+
+
+def test_estimate_error_memory_at_the_default_block():
+    """The four-arm criterion-5 shape, T=900 with 2500 trials, holds one block
+    of at most 2 MiB plus about 1 KB per trial: about 4.8 MiB traced.  An
+    8 MiB block with one SeedSequence per trial traced 10.6 MiB."""
+    inst = four_arm_exact()
+    explore = tuned_explore(summarize(inst), 900)
+    estimate_error(inst, 20, explore, 2, RngStream(0))   # warm imports and caches
+    tracemalloc.start()
+    try:
+        estimate_error(inst, 900, explore, 2500, RngStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 def test_estimate_error_validation():
