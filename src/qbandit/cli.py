@@ -35,8 +35,8 @@ from .bandits import BanditInstance, summarize
 from .comparison import SIM_CAP, ComparisonReport, compare, scaling_experiment
 from .errors import DegenerateInstance, InvariantViolation, QbanditError
 from .instances import FAMILIES, load_instance
-from .qbai import (BLOCK_CELLS, REFLECTIONS, ClosedForm, build_operators,
-                   cross_check, success_probability, sweep)
+from .qbai import (REFLECTIONS, ClosedForm, build_operators, cross_check,
+                   success_probability, sweep)
 from .ucbe import (
     BONUS_VARIANTS,
     RngStream,
@@ -93,6 +93,12 @@ def _cmd_simulate(cfg: RunConfig):
     return ["n", "good_amp", "bad_amp", *_arm_cols(inst)], rows, {}
 
 
+# closed-form cells (step counts x arms) per block of the analytic table.
+# Each cell leaves as a Python float, several times its numpy size, so the
+# block stays small and a streamed table's memory stays flat.
+BLOCK_CELLS = 1 << 10
+
+
 def _analytic_rows(model: ClosedForm, n_max: int, block: int) -> Iterator[tuple]:
     """Rows n = 0..n_max, the closed form evaluated on block step counts at a time."""
     for start in range(0, n_max + 1, block):
@@ -132,7 +138,8 @@ def _cmd_ucbe(cfg: RunConfig):
         "N": inst.n_arms,
         "M": inst.n_env,
         "T": cfg.rounds,
-        "explore": float(explore),
+        # the printed bonus ranks by means alone, so no explore entered the run
+        "explore": float(explore) if cfg.bonus == "per-arm" else None,
         "bonus": cfg.bonus,
         "trials": cfg.trials,
         "e_hat": e_hat,

@@ -9,6 +9,7 @@ arm x lands on environment state y, and y = 0 is the first column.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -70,14 +71,18 @@ def _require(condition: bool, message: str) -> None:
 def _as_table(raw: object, n: int, m: int, field: str) -> np.ndarray:
     _require(isinstance(raw, list) and len(raw) == n,
              f"field '{field}': expected {n} rows")
-    rows = []
-    for i, row in enumerate(raw):  # type: ignore[arg-type]
-        _require(isinstance(row, list) and len(row) == m,
-                 f"field '{field}' row {i}: expected {m} entries")
-        _require(all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                     for v in row),
-                 f"field '{field}' row {i}: entries must be numbers")
-        rows.append(row)
+    # JSON numbers parse as int or float (true and false as bool), so a
+    # valid table passes one bulk check; only a failing one is walked row by
+    # row for the first bad row's message
+    rows: list = raw  # type: ignore[assignment]
+    if not (set(map(type, rows)) == {list} and set(map(len, rows)) == {m}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+        for i, row in enumerate(rows):
+            _require(isinstance(row, list) and len(row) == m,
+                     f"field '{field}' row {i}: expected {m} entries")
+            _require(all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                         for v in row),
+                     f"field '{field}' row {i}: entries must be numbers")
     return np.array(rows, dtype=np.float64)
 
 

@@ -20,22 +20,27 @@ The two routes agreeing to ~1e-12 is the package's central cross-check, and
 `cross_check` is the one place that compares them.
 
 The simulator is one kernel.  `build_operators` computes its inputs once: the
-preparation W as two `HouseholderPrep` reflector sets with phases (one on the
-agent axis whose first column is alpha, one per arm on the environment axis
-whose first column is sqrt(nu[x]), times random phases when asked), their
-conjugates, the reward mask and the prepared state W|00>.  One step,
-W S W* O, then updates a private outcome-major (M, N) amplitude buffer in
-place in O(N*M): the oracle O flips the sign of rewarded pairs, and S is the
-anchor reflection about |00>.  The reflectors are stored the way that buffer
-is read: the agent reflector as one (1, N) row, the environment reflectors
-as an (M, N) array with arm x's reflector in column x.  The composite
-reflection W S W* = 2|psi0><psi0| - I depends on W only through W|0>, so any
-such completion gives the same loop; the tensor variant does depend on how
-the environment preparation is completed.
+agent amplitudes alpha, the environment preparation W_env as a
+`HouseholderPrep` reflector set with phases (one reflector per arm, whose
+first column is sqrt(nu[x]), times random phases when asked) and its
+conjugate, the oracle's sign array, the readout indices and the prepared
+state W_env (alpha (x) e0).  One step, W S W* O, then updates a private
+outcome-major (M, N) amplitude buffer in place in O(N*M), in four stages:
+the oracle O multiplies rewarded pairs by -1, W_env* follows, then the agent
+reflection, then W_env.  The preparation is W = W_env W_agent, and
+W_agent S W_agent* depends on W_agent only through its first column alpha:
+it is 2|alpha,0><alpha,0| - I for the composite anchor reflection
+S = 2|00><00| - I, and (2|alpha><alpha| - I) (x) (2|0><0| - I) for the
+tensor one, so the kernel applies it as one reflection about alpha and no
+agent preparation is ever built.  The environment reflectors are stored the
+way the buffer is read, as an (M, N) array with arm x's reflector in column
+x.  The composite reflection W S W* = 2|psi0><psi0| - I depends on W only
+through W|0>, so any completion gives the same loop; the tensor variant
+does depend on how the environment preparation is completed.
 
 `build_operators` picks the kernel's one dtype.  Real alpha (or the uniform
-default) without phase_rng makes every reflector and phase real, so the
-reflectors and the buffer are float64; complex alpha or phase_rng makes them
+default) without phase_rng makes alpha and every reflector and phase real,
+so they and the buffer are float64; complex alpha or phase_rng makes them
 complex128.  The one step function serves both.  A real phase is -c0/|c0|
 rounded through a complex division, so it is -1 or +1 to within an ulp, not
 always exactly.
@@ -49,7 +54,8 @@ amplitudes when they are real and complex128 otherwise, so the prepared
 state comes in the kernel's dtype, and `grover_step` steps in the dtype of
 the state and the operators together.  `run_qbai` and `sweep` read each run
 straight off the buffer, summing each arm's law and each masked norm in the
-same order as they would on a `StateVector`.
+same order as they would on a `StateVector`: the norms take their terms
+from the flat buffer by precomputed x-major indices.
 """
 
 from __future__ import annotations
@@ -68,9 +74,8 @@ from .errors import DegenerateInstance, InvariantViolation
 # routes count as disagreeing
 SIM_AGREE_TOL = 1e-10
 REFLECTIONS = ("composite", "tensor")
-# closed-form cells (step counts x arms) evaluated per block, by cross_check
-# and by the analytic table
-BLOCK_CELLS = 1 << 10
+# closed-form cells (runs x arms) cross_check evaluates per block
+CHECK_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -120,36 +125,33 @@ def marginal_over_y(s: StateVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HouseholderPrep:
-    """Preparation W = g (I - 2 u u*) along one axis of the (M, N) buffer.
+    """The environment preparation W_env = g (I - 2 u u*), one reflector per arm.
 
-    Each reflector runs along buffer axis `axis`: the agent preparation
-    (axis 1) is one (1, N) row, the environment preparation (axis 0) an
-    (M, N) array whose column x reflects the outcomes of arm x.  phase holds
-    each reflector's unit factor g, shaped to broadcast against the buffer:
-    (1, 1) on the agent axis, (1, N) on the environment axis.  I - 2 u u* is
-    Hermitian, so W* is the same u with conjugated phases; u_conj and
-    phase_conj are the conjugates, computed once so that no step recomputes
-    them.
+    Each reflector runs along buffer axis 0: u is an (M, N) array whose
+    column x reflects the outcomes of arm x, and phase, shaped (1, N) to
+    broadcast against the buffer, holds each reflector's unit factor g.
+    I - 2 u u* is Hermitian, so W* is the same u with conjugated phases;
+    u_conj and phase_conj are the conjugates, computed once so that no step
+    recomputes them.
     """
 
-    axis: int
     u: np.ndarray
     u_conj: np.ndarray
     phase: np.ndarray
     phase_conj: np.ndarray
 
     @classmethod
-    def from_columns(cls, axis: int, columns: np.ndarray) -> HouseholderPrep:
+    def from_columns(cls, columns: np.ndarray) -> HouseholderPrep:
         """The preparation with W|0> = c for each row c of columns, normalized.
 
-        columns is a 2-d stack of nonzero rows, as `build_operators` passes.
+        columns is an (N, M) stack of nonzero rows, as `build_operators` passes.
 
         With gamma = -conj(c0)/|c0| (-1 when c0 = 0), v = e0 - gamma c and
         u = v/|v|, the reflector maps e0 to gamma c, so g = conj(gamma)
         restores c.  v0 = 1 + |c0| >= 1, so no column is a degenerate case.
         Every u and g is unit up to rounding, so W is unitary up to rounding.
         The norms are taken along contiguous rows, one reflector each, before
-        each reflector is laid along buffer axis `axis`.
+        arm x's reflector is laid down column x of the buffer.
 
         Real columns give real u and g, stored as float64; any other columns
         give complex128.  Real columns are still normalized in complex
@@ -169,29 +171,35 @@ class HouseholderPrep:
         v /= np.linalg.norm(v, axis=1)[:, None]
         if real:
             v, gamma = v.real, gamma.real
-        u = np.ascontiguousarray(np.moveaxis(v, 1, axis))
-        phase = np.expand_dims(gamma.conj(), axis)
+        u = np.ascontiguousarray(v.T)
+        phase = gamma.conj()[None, :]
         arrays = (u, u.conj(), phase, phase.conj())
         for a in arrays:
             a.setflags(write=False)
-        return cls(axis, *arrays)
+        return cls(*arrays)
 
 
 @dataclass(frozen=True)
 class QbaiOperators:
     """The kernel's inputs for one amplification setup, computed once.
 
-    The preparation W = prep_env * prep_agent is held as two Householder
-    reflectors with their conjugates, O(N*M) in all; W* is the same
-    reflectors with conjugated phases.  good is the (N, M) mask of rewarded
-    pairs whose sign the oracle O flips.  reflection names the anchor
-    reflection S about |00>: "composite" (2|00><00| - I) or "tensor"
-    ((2|0><0| - I) on each axis).
+    The preparation is W = W_env W_agent.  A step needs W_agent only through
+    its first column, the agent amplitudes alpha (shape (N,), contiguous), so
+    no agent reflector is held; prep_env holds W_env as Householder
+    reflectors with their conjugates, O(N*M) in all.  good is the (N, M)
+    mask of rewarded pairs; sign holds the oracle O's -1 on them and +1
+    elsewhere in the (M, N) buffer layout.  good_index and bad_index are the
+    flat buffer positions of the rewarded and the unrewarded pairs, in
+    x-major order.  reflection names the anchor reflection S about |00>:
+    "composite" (2|00><00| - I) or "tensor" ((2|0><0| - I) on each axis).
     """
 
-    prep_agent: HouseholderPrep
+    alpha: np.ndarray
     prep_env: HouseholderPrep
     good: np.ndarray
+    sign: np.ndarray
+    good_index: np.ndarray
+    bad_index: np.ndarray
     reflection: str
     psi0_state: StateVector
 
@@ -306,8 +314,9 @@ def build_operators(
     instead.  phase_rng, when given, scrambles the phases of the environment
     amplitudes; outcome probabilities, and hence every P_n, are unchanged.
 
-    Real alpha (or None) without phase_rng makes every reflector and phase
-    real, so the operators, and the buffer the kernel steps, are float64;
+    Real alpha (or None) without phase_rng makes alpha and every reflector
+    and phase real, so the operators, and the buffer the kernel steps, are
+    float64;
     complex alpha or phase_rng makes them complex128.
     """
     if reflection not in REFLECTIONS:
@@ -321,22 +330,27 @@ def build_operators(
     elif not np.iscomplexobj(alpha):
         # every column is real, so the kernel runs in float64
         al, env_cols = al.real, env_cols.real
-    prep_agent = HouseholderPrep.from_columns(1, al[None, :])
-    prep_env = HouseholderPrep.from_columns(0, env_cols)
-    amps = np.zeros((m, n), dtype=prep_agent.u.dtype)
-    amps[0, 0] = 1.0
-    work = np.empty_like(amps)
-    _prepare(amps, prep_agent, work)
-    _prepare(amps, prep_env, work)
+    al = np.ascontiguousarray(al)
+    prep_env = HouseholderPrep.from_columns(env_cols)
+    amps = np.zeros((m, n), dtype=al.dtype)
+    amps[0] = al
+    _prepare(amps, prep_env, np.empty_like(amps))
     good = inst.f == 1
-    good.setflags(write=False)
-    return QbaiOperators(
-        prep_agent=prep_agent,
+    # buffer position y * N + x of each pair, read in x-major order
+    index = np.arange(m * n).reshape(m, n).T
+    ops = QbaiOperators(
+        alpha=al,
         prep_env=prep_env,
         good=good,
+        sign=np.ascontiguousarray(np.where(good.T, -1.0, 1.0)),
+        good_index=index[good],
+        bad_index=index[~good],
         reflection=reflection,
         psi0_state=_state(amps),
     )
+    for a in (ops.alpha, ops.good, ops.sign, ops.good_index, ops.bad_index):
+        a.setflags(write=False)
+    return ops
 
 
 def success_probability(
@@ -369,43 +383,53 @@ def success_probability(
 def _prepare(
     amps: np.ndarray, prep: HouseholderPrep, work: np.ndarray, adjoint: bool = False
 ) -> None:
-    """amps <- W amps (W* amps when adjoint) in place on the (M, N) buffer.
+    """amps <- W_env amps (W_env* amps when adjoint) in place on the (M, N) buffer.
 
-    W = g (I - 2 u u*) along prep.axis; work is an (M, N) scratch buffer.
-    The buffer is outcome-major, so the agent projection u* v, a sum of N
-    terms, runs along contiguous memory and numpy sums it pairwise; along a
-    strided axis it would add one term at a time, with an error growing with
-    N.  The environment projection sums M terms across rows, elementwise.
+    work is an (M, N) scratch buffer.  The projection u* v of each arm sums
+    its M terms across rows, elementwise.
     """
-    proj = np.multiply(amps, prep.u_conj, out=work).sum(axis=prep.axis, keepdims=True)
+    proj = np.multiply(amps, prep.u_conj, out=work).sum(axis=0, keepdims=True)
     # u first: with fused multiply-adds a complex product rounds differently
     # when its operands swap
     amps -= np.multiply(prep.u, 2.0 * proj, out=work)
     amps *= prep.phase_conj if adjoint else prep.phase
 
 
-def _anchor(amps: np.ndarray, reflection: str) -> None:
-    """amps <- S amps in place, S the anchor reflection about |00>."""
+def _reflect_agent(
+    amps: np.ndarray, alpha: np.ndarray, reflection: str, work: np.ndarray
+) -> None:
+    """amps <- W_agent S W_agent* amps in place, for any W_agent with W_agent|0> = alpha.
+
+    Composite: 2|alpha,0><alpha,0| - I reflects row 0 about alpha,
+    2 alpha (alpha* row0) - row0, and negates every other row.  Tensor:
+    (2|alpha><alpha| - I) (x) (2|0><0| - I) maps every row v to
+    v - 2 alpha (alpha* v), then negates row 0.  Each projection alpha* v,
+    a sum of N terms, runs along one contiguous row, so numpy sums it
+    pairwise; along a strided axis it would add one term at a time, with an
+    error growing with N.
+    """
+    alpha_conj = alpha.conj()
     if reflection == "composite":
-        keep = amps[0, 0]
+        row = work[:1]
+        proj = np.multiply(amps[:1], alpha_conj, out=row).sum(axis=1, keepdims=True)
         np.negative(amps, out=amps)
-        amps[0, 0] = keep
+        # alpha first, as in _prepare
+        amps[:1] += np.multiply(alpha, 2.0 * proj, out=row)
     else:
-        # the product of the two axes' signs is -1 on row 0 and column 0
-        # away from the anchor, and +1 everywhere else.  Negated through a
-        # temporary: numpy 2.4's in-place negative of a float64 column with
-        # a 64-byte row stride (N = 8) reads the wrong elements.
-        amps[0, 1:] = -amps[0, 1:]
-        amps[1:, 0] = -amps[1:, 0]
+        proj = np.multiply(amps, alpha_conj, out=work).sum(axis=1, keepdims=True)
+        amps -= np.multiply(alpha, 2.0 * proj, out=work)
+        np.negative(amps[0], out=amps[0])
 
 
 def _step(ops: QbaiOperators, amps: np.ndarray, work: np.ndarray) -> None:
-    """One amplification step W S W* O on the (M, N) buffer amps, in place."""
-    np.negative(amps, out=amps, where=ops.good.T)
+    """One amplification step W S W* O on the (M, N) buffer amps, in place.
+
+    W S W* = W_env (W_agent S W_agent*) W_env*, and the middle factor is
+    one reflection about alpha.  Multiplying by +-1 changes no magnitude.
+    """
+    amps *= ops.sign
     _prepare(amps, ops.prep_env, work, adjoint=True)
-    _prepare(amps, ops.prep_agent, work, adjoint=True)
-    _anchor(amps, ops.reflection)
-    _prepare(amps, ops.prep_agent, work)
+    _reflect_agent(amps, ops.alpha, ops.reflection, work)
     _prepare(amps, ops.prep_env, work)
 
 
@@ -432,7 +456,7 @@ def grover_step(ops: QbaiOperators, s: StateVector) -> StateVector:
         raise ValueError(
             f"operator dims {ops.psi0_state.dims} do not match state {s.dims}"
         )
-    amps = _buffer(s, np.result_type(s.amps, ops.prep_agent.u))
+    amps = _buffer(s, np.result_type(s.amps, ops.alpha))
     _step(ops, amps, np.empty_like(amps))
     return _state(amps)
 
@@ -451,15 +475,14 @@ def _evolve(ops: QbaiOperators, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
 def _readout(ops: QbaiOperators, n: int, amps: np.ndarray) -> QbaiRun:
     """The run read off the (M, N) buffer, without building a `StateVector`.
 
-    A boolean index on the (N, M) view picks its terms in x-major order, the
-    order of a `StateVector`'s amplitudes, so each norm sums the same sequence.
+    good_index and bad_index take their terms in x-major order, the order of
+    a `StateVector`'s amplitudes, so each norm sums the same sequence.
     """
-    xm = amps.T
     return QbaiRun(
         n=n,
-        p_rec=_arm_law(xm),
-        good_amp=float(np.linalg.norm(xm[ops.good])),
-        bad_amp=float(np.linalg.norm(xm[~ops.good])),
+        p_rec=_arm_law(amps.T),
+        good_amp=float(np.linalg.norm(amps.take(ops.good_index))),
+        bad_amp=float(np.linalg.norm(amps.take(ops.bad_index))),
     )
 
 
@@ -481,26 +504,33 @@ def run_qbai(
     return _readout(ops, int(n), amps)
 
 
-def cross_check(model: ClosedForm, runs: Iterable[QbaiRun]) -> tuple[float, float]:
+def cross_check(
+    model: ClosedForm, runs: Iterable[QbaiRun], laws: np.ndarray | None = None
+) -> tuple[float, float]:
     """Largest deviations of the runs from the closed form: (law, amplitude).
 
     For each run, the law deviation is max |run.p_rec - model.p_rec(run.n)|
     and the amplitude deviation |run.good_amp - sqrt(model.amplified(run.n))|.
     The caller picks the runs; they are read once, a block of at most
-    BLOCK_CELLS law cells at a time, and the closed form is evaluated once
-    per block.  Raises InvariantViolation when either deviation exceeds
+    CHECK_BLOCK_CELLS law cells at a time, and the closed form is evaluated once
+    per block.  laws, when given, holds model.p_rec(run.n) for each run, one
+    row per run, so that a caller already holding the law does not evaluate
+    it again.  Raises InvariantViolation when either deviation exceeds
     SIM_AGREE_TOL or is NaN.
     """
     max_p_dev = 0.0
     max_amp_dev = 0.0
     runs = iter(runs)
-    block_len = max(1, BLOCK_CELLS // len(model.w))
+    block_len = max(1, CHECK_BLOCK_CELLS // len(model.w))
+    done = 0
     while block := list(itertools.islice(runs, block_len)):
         ns = np.array([run.n for run in block])
         law = np.array([run.p_rec for run in block])
         good_amp = np.array([run.good_amp for run in block])
+        want = model.p_rec(ns) if laws is None else laws[done:done + len(block)]
+        done += len(block)
         # np.maximum keeps a NaN, where the builtin max would drop it
-        max_p_dev = float(np.maximum(max_p_dev, np.abs(law - model.p_rec(ns)).max()))
+        max_p_dev = float(np.maximum(max_p_dev, np.abs(law - want).max()))
         max_amp_dev = float(np.maximum(
             max_amp_dev, np.abs(good_amp - np.sqrt(model.amplified(ns))).max()))
     if not (max_p_dev <= SIM_AGREE_TOL and max_amp_dev <= SIM_AGREE_TOL):

@@ -1,10 +1,14 @@
 """Dense-matrix oracle: the operators of one amplification step, built from
 their definitions.
 
-Each matrix is built from the fields of `QbaiOperators` (the reflectors and
-phases, the reward mask, the reflection name), never through the in-place
-kernel, so multiplying by it is an independent route for checking the kernel.
-It is a test oracle, not a scalable path.
+Each matrix is built from the fields of `QbaiOperators` (the agent
+amplitudes, the environment reflectors and phases, the reward mask, the
+reflection name), never through the in-place kernel, so multiplying by it is
+an independent route for checking the kernel.  The kernel holds no agent
+preparation; `agent_matrix` completes alpha to its own Householder unitary,
+so `step_matrix` multiplies out W S W* in full rather than trusting the
+reflection about alpha that the kernel applies.  It is a test oracle, not a
+scalable path.
 """
 
 from __future__ import annotations
@@ -30,20 +34,31 @@ def _reflector(u: np.ndarray, g: complex) -> np.ndarray:
 
 def densify(prep: HouseholderPrep, dims: tuple[int, int],
             cap: int = DENSIFY_CAP) -> np.ndarray:
-    """W of one preparation on the composite space of the given (N, M) dims.
-
-    The agent preparation (axis 1) is one reflector on x; the environment
-    preparation (axis 0) reflects the y block of arm x by column x.
-    """
+    """W_env on the composite space of the given (N, M) dims: column x of the
+    reflectors reflects the y block of arm x."""
     n, m = dims
     d = _size(dims, cap)
-    if prep.axis == 1:
-        agent = _reflector(prep.u[0], prep.phase[0, 0])
-        return np.kron(agent, np.eye(m, dtype=np.complex128))
     out = np.zeros((d, d), dtype=np.complex128)
     for x in range(n):
         out[x * m:(x + 1) * m, x * m:(x + 1) * m] = _reflector(prep.u[:, x], prep.phase[0, x])
     return out
+
+
+def agent_matrix(alpha: np.ndarray, dims: tuple[int, int],
+                 cap: int = DENSIFY_CAP) -> np.ndarray:
+    """A W_agent with first column alpha, on the composite space of (N, M) dims.
+
+    The agent Householder completion: with gamma = -conj(a0)/|a0| (-1 when
+    a0 = 0) and u = (e0 - gamma alpha) / |e0 - gamma alpha|, the reflector
+    conj(gamma) (I - 2 u u*) maps e0 to alpha.
+    """
+    _size(dims, cap)
+    a = np.asarray(alpha, dtype=np.complex128)
+    gamma = -a[0].conj() / abs(a[0]) if a[0] != 0 else -1.0
+    v = -gamma * a
+    v[0] += 1.0
+    agent = _reflector(v / np.linalg.norm(v), np.conj(gamma))
+    return np.kron(agent, np.eye(dims[1], dtype=np.complex128))
 
 
 def oracle_matrix(good: np.ndarray) -> np.ndarray:
@@ -69,6 +84,6 @@ def step_matrix(ops: QbaiOperators, cap: int = DENSIFY_CAP) -> np.ndarray:
     """W S W* O, with W = W_env W_agent."""
     dims = ops.psi0_state.dims
     _size(dims, cap)
-    w = densify(ops.prep_env, dims, cap) @ densify(ops.prep_agent, dims, cap)
+    w = densify(ops.prep_env, dims, cap) @ agent_matrix(ops.alpha, dims, cap)
     s = anchor_matrix(dims, ops.reflection)
     return w @ s @ w.conj().T @ oracle_matrix(ops.good)

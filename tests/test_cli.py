@@ -145,6 +145,21 @@ def test_analytic_matches_simulate(capsys, instance_path):
             assert float(a[f"p{x}"]) == pytest.approx(float(s[f"p{x}"]), abs=1e-10)
 
 
+def test_ucbe_printed_bonus_leaves_explore_blank(capsys, instance_path):
+    """Under the printed bonus the run ranks by means alone: the explore cell
+    is empty, in CSV and JSON, whatever --explore says, and e_hat does not
+    move with it.  The per-arm bonus prints the explore it ran with."""
+    argv = ["ucbe", "--instance", instance_path, "-T", "120", "--trials", "50"]
+    _, (tuned,) = run_csv(capsys, [*argv, "--bonus", "printed"])
+    _, (given,) = run_csv(capsys, [*argv, "--bonus", "printed", "--explore", "2.5"])
+    assert tuned["explore"] == given["explore"] == ""
+    assert tuned["e_hat"] == given["e_hat"]
+    assert main([*argv, "--bonus", "printed", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["explore"] is None
+    _, (per_arm,) = run_csv(capsys, [*argv, "--explore", "2.5"])
+    assert per_arm["explore"] == "2.5"
+
+
 def test_ucbe_row(capsys, instance_path):
     _, rows = run_csv(capsys, [
         "ucbe", "--instance", instance_path, "-T", "120", "--trials", "50",

@@ -12,7 +12,7 @@ from helpers import four_arm_exact, perturb_compare_runs
 from qbandit.comparison import ComparisonReport, compare, scaling_experiment
 from qbandit.errors import InvariantViolation
 from qbandit.instances import bernoulli_instance, one_good_arm, two_tier
-from qbandit.qbai import success_probability
+from qbandit.qbai import ClosedForm, success_probability
 
 
 def test_compare_frozen_chain():
@@ -117,6 +117,18 @@ def test_compare_raises_when_the_simulator_disagrees(monkeypatch, field):
         compare(bernoulli_instance([0.5, 0.1, 0.1, 0.1]))
     # above the cap nothing is simulated, so nothing can disagree
     assert not compare(bernoulli_instance([0.5, 0.1, 0.1, 0.1]), sim_cap=1).simulated
+
+
+def test_compare_evaluates_the_law_once(monkeypatch):
+    """compare evaluates the closed-form law at n_star once and hands it to
+    the cross-check, which still checks it against the simulated run."""
+    calls = []
+    real = ClosedForm.p_rec
+    monkeypatch.setattr(ClosedForm, "p_rec",
+                        lambda self, n: calls.append(n) or real(self, n))
+    report = compare(bernoulli_instance([0.5, 0.1, 0.1, 0.1]))
+    assert report.simulated
+    assert calls == [report.n_star]
 
 
 @pytest.mark.parametrize("family", [one_good_arm, two_tier])

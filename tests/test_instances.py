@@ -110,6 +110,25 @@ def test_load_instance_rejects_malformed_fields(tmp_path, mutate, message):
         load_instance(_write(tmp_path, data))
 
 
+@pytest.mark.parametrize(
+    "field, rows, message",
+    [
+        ("nu", [[0.5, 0.5], [0.5, True], [0.5]], "field 'nu' row 1: entries must be numbers"),
+        ("nu", [[0.5, 0.5], [0.5], [0.5, "x"]], "field 'nu' row 1: expected 2 entries"),
+        ("nu", [[0.5, 0.5], "ab", [0.5, 0.5]], "field 'nu' row 1: expected 2 entries"),
+        ("f", [[1, 0], [0, 0], {"a": 1, "b": 0}], "field 'f' row 2: expected 2 entries"),
+        ("f", [[1, 0], [0, None], [0, 0]], "field 'f' row 1: entries must be numbers"),
+    ],
+)
+def test_load_instance_names_the_first_bad_row(tmp_path, field, rows, message):
+    """A table failing the bulk check is reported by its first bad row, the
+    entry count checked before the entry types."""
+    data = {"N": 3, "M": 2, "nu": [[0.5, 0.5]] * 3, "f": [[1, 0]] * 3, field: rows}
+    with pytest.raises(InstanceFormatError) as info:
+        load_instance(_write(tmp_path, data))
+    assert str(info.value) == message
+
+
 def test_load_instance_rejects_non_object(tmp_path):
     with pytest.raises(InstanceFormatError, match="object"):
         load_instance(_write(tmp_path, [1, 2, 3]))

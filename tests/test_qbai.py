@@ -17,6 +17,7 @@ from qbandit.comparison import compare
 from qbandit.errors import DegenerateInstance, InvariantViolation
 from qbandit.instances import bernoulli_instance, one_good_arm
 from qbandit.qbai import (
+    CHECK_BLOCK_CELLS,
     SIM_AGREE_TOL,
     HouseholderPrep,
     analytic_recommendation,
@@ -32,9 +33,10 @@ from qbandit.ucbe import RngStream
 
 
 def completion(column: np.ndarray) -> np.ndarray:
-    """Dense W of the Householder preparation whose first column is column."""
+    """Dense W of the Householder preparation whose first column is column:
+    the environment preparation of one arm with len(column) outcomes."""
     c = np.asarray(column, dtype=complex)
-    return densify(HouseholderPrep.from_columns(1, c[None, :]), (c.size, 1))
+    return densify(HouseholderPrep.from_columns(c[None, :]), (1, c.size))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -77,7 +79,7 @@ def test_complete_unitary_edge_columns(column):
     assert np.abs(u.conj().T @ u - np.eye(c.size)).max() <= 1e-12
     # the same columns as environment blocks, several arms at once
     stack = np.stack([c, c[::-1]])
-    env = densify(HouseholderPrep.from_columns(0, stack), (2, c.size))
+    env = densify(HouseholderPrep.from_columns(stack), (2, c.size))
     assert np.abs(env[:c.size, 0] - c).max() <= 1e-14
     assert np.abs(env[c.size:, c.size] - c[::-1]).max() <= 1e-14
     assert np.abs(env.conj().T @ env - np.eye(2 * c.size)).max() <= 1e-12
@@ -98,19 +100,27 @@ def test_build_operators_prepared_state():
 
 
 def test_reflectors_are_stored_along_the_buffer():
-    """The agent reflector is one (1, N) row, the environment's an (M, N)
-    array with arm x's reflector in column x, both contiguous."""
+    """alpha is one contiguous (N,) row, the environment reflectors an (M, N)
+    array with arm x's reflector in column x, and the oracle sign an (M, N)
+    array of -1 on rewarded pairs, all contiguous.  The readout indices
+    list each rewarded and each unrewarded pair once, in x-major order."""
     rng = np.random.default_rng(6)
     inst, alpha = random_instance(rng)
     n, m = inst.n_arms, inst.n_env
     ops = build_operators(inst, alpha)
-    for prep, shape, phase_shape in ((ops.prep_agent, (1, n), (1, 1)),
-                                     (ops.prep_env, (m, n), (1, n))):
-        assert prep.u.shape == prep.u_conj.shape == shape
-        assert prep.phase.shape == prep.phase_conj.shape == phase_shape
-        assert prep.u.flags.c_contiguous and prep.u_conj.flags.c_contiguous
-        assert np.abs(np.linalg.norm(prep.u, axis=prep.axis) - 1.0).max() <= 1e-14
-        assert np.abs(np.abs(prep.phase) - 1.0).max() <= 1e-14
+    assert ops.alpha.shape == (n,) and ops.alpha.flags.c_contiguous
+    assert abs(np.linalg.norm(ops.alpha) - 1.0) <= 1e-14
+    prep = ops.prep_env
+    assert prep.u.shape == prep.u_conj.shape == (m, n)
+    assert prep.phase.shape == prep.phase_conj.shape == (1, n)
+    assert prep.u.flags.c_contiguous and prep.u_conj.flags.c_contiguous
+    assert np.abs(np.linalg.norm(prep.u, axis=0) - 1.0).max() <= 1e-14
+    assert np.abs(np.abs(prep.phase) - 1.0).max() <= 1e-14
+    assert ops.sign.shape == (m, n) and ops.sign.flags.c_contiguous
+    assert np.array_equal(ops.sign, np.where(inst.f.T == 1, -1.0, 1.0))
+    flat = np.arange(m * n).reshape(m, n).T.reshape(-1)
+    assert np.array_equal(ops.good_index, flat[ops.good.reshape(-1)])
+    assert np.array_equal(ops.bad_index, flat[~ops.good.reshape(-1)])
     # column x of the environment reflectors belongs to arm x
     arm = int(rng.integers(n))
     alone = build_operators(BanditInstance(nu=inst.nu[arm:arm + 1], f=inst.f[arm:arm + 1]))
@@ -545,8 +555,8 @@ def test_simulator_matches_high_precision_law_at_65536_arms():
 
 
 def _prep_dtypes(ops) -> set:
-    return {a.dtype for prep in (ops.prep_agent, ops.prep_env)
-            for a in (prep.u, prep.u_conj, prep.phase, prep.phase_conj)}
+    prep = ops.prep_env
+    return {a.dtype for a in (ops.alpha, prep.u, prep.u_conj, prep.phase, prep.phase_conj)}
 
 
 def test_operator_dtype_follows_alpha_and_phases():
@@ -568,15 +578,15 @@ def test_operator_dtype_follows_alpha_and_phases():
 
 
 def _as_complex(ops):
-    """The same operators with every reflector and phase, and the prepared
-    state, cast to complex128: the kernel's dtype is the prepared state's."""
-    def cast(prep):
-        return dataclasses.replace(prep, **{
-            name: getattr(prep, name).astype(np.complex128)
-            for name in ("u", "u_conj", "phase", "phase_conj")})
+    """The same operators with alpha, every reflector and phase, and the
+    prepared state, cast to complex128: the kernel's dtype is the prepared
+    state's."""
+    prep = ops.prep_env
     psi0 = ops.psi0_state
-    return dataclasses.replace(ops, prep_agent=cast(ops.prep_agent),
-                               prep_env=cast(ops.prep_env),
+    return dataclasses.replace(ops, alpha=ops.alpha.astype(np.complex128),
+                               prep_env=dataclasses.replace(prep, **{
+                                   name: getattr(prep, name).astype(np.complex128)
+                                   for name in ("u", "u_conj", "phase", "phase_conj")}),
                                psi0_state=dataclasses.replace(
                                    psi0, amps=psi0.amps.astype(np.complex128)))
 
@@ -616,11 +626,12 @@ def per_run_cross_check(model, runs) -> tuple[float, float]:
 
 
 def _many_block_sweep():
-    """100 arms, so cross_check reads 10 runs a block: 46 runs make four full
-    blocks and a last one of six."""
+    """1600 arms, so cross_check reads 10 runs a block:
+    46 runs make four full blocks and a last one of six."""
+    assert CHECK_BLOCK_CELLS // 1600 == 10
     rng = np.random.default_rng(31)
-    inst = BanditInstance(nu=rng.dirichlet(np.ones(3), size=100),
-                          f=(rng.random((100, 3)) < 0.3).astype(int))
+    inst = BanditInstance(nu=rng.dirichlet(np.ones(3), size=1600),
+                          f=(rng.random((1600, 3)) < 0.3).astype(int))
     return success_probability(inst), list(sweep(build_operators(inst), 45))
 
 
@@ -629,6 +640,9 @@ def test_blocked_cross_check_equals_the_per_run_check():
     assert cross_check(model, runs) == per_run_cross_check(model, runs)
     # a one-shot generator is read once, block by block
     assert cross_check(model, (run for run in runs)) == per_run_cross_check(model, runs)
+    # the law handed in, row by row, checks as the law evaluated per block
+    laws = model.p_rec(np.array([run.n for run in runs]))
+    assert cross_check(model, iter(runs), laws) == per_run_cross_check(model, runs)
 
 
 @pytest.mark.parametrize("field", ["p_rec", "good_amp"])
