@@ -15,15 +15,21 @@ the kernel computes the same PCG64 seed words for a whole chunk at once,
 so its generators draw exactly as RngStream's would.  The kernel draws each
 trial's uniforms in blocks of rounds; PCG64 random(a) followed by random(b)
 equals random(a + b) bit for bit, so the block width changes no draw.  Each
-round is read straight from the block the generators wrote, so a run holds
-one block of at most UNIFORM_BLOCK_BYTES (2 MiB) whatever T is, plus about
-1 KB per lockstep trial for its generator and state.
+round is read straight from the block the generators wrote, so a process
+holds one block of at most UNIFORM_BLOCK_BYTES (2 MiB) whatever T is, plus
+about 1 KB per lockstep trial for its generator and state.  estimate_error
+runs its trials in one forked worker per CPU the process may run on, each
+over a contiguous range of streams, and sums their integer counts, so its
+tables do not depend on the worker count and a run holds at most one block
+plus the lockstep state per CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -249,6 +255,87 @@ def run_ucbe(inst: BanditInstance, T: int, explore: float, rng: RngStream) -> Uc
     return UcbeTrace(pulls=pulls, means=means, recommendation=int(np.argmax(means)))
 
 
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork(work, *args) -> tuple[int, BinaryIO]:
+    """Run work(*args) in a forked child; return its pid and the read end of
+    a pipe that carries the integer result in decimal, or "!" and the pickled
+    exception.  The child never returns into the caller's stack."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    try:
+        os.close(read)
+        try:
+            payload = b"%d" % work(*args)
+        except BaseException as exc:
+            import pickle
+            payload = b"!" + pickle.dumps(exc)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        # no atexit handler, no inherited buffer flush, no caller frame
+        os._exit(0)
+
+
+def _monte_carlo(
+    inst: BanditInstance, T: int, scale: float, trials: int, rng: RngStream, workers: int
+) -> tuple[float, float]:
+    """estimate_error's estimate after the argument checks, on min(workers,
+    trials) processes: the trials split into contiguous ranges, the first run
+    here, each other in a forked child that sends back its count."""
+    x_star = summarize(inst).x_star
+
+    def misidentified(start: int, stop: int) -> int:
+        wrong = 0
+        for first in range(start, stop, DEFAULT_CHUNK):
+            count = min(DEFAULT_CHUNK, stop - first)
+            sums, pulls = _lockstep(inst, T, scale, rng, first, count)
+            wrong += int((np.argmax(sums / pulls, axis=1) != x_star).sum())
+        return wrong
+
+    workers = min(workers, trials)
+    bounds = [trials * w // workers for w in range(workers + 1)]
+    children: list[tuple[int, BinaryIO]] = []
+    payloads = None
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork(misidentified, start, stop))
+        wrong = misidentified(0, bounds[1])
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if payloads is None:
+                import signal
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for payload in payloads:
+        if payload.startswith(b"!"):
+            import pickle
+            raise pickle.loads(payload[1:])
+        if not payload:
+            raise ChildProcessError("a Monte Carlo worker ended without a result")
+        wrong += int(payload)
+    e_hat = wrong / trials
+    ci = 1.96 * math.sqrt(e_hat * (1.0 - e_hat) / trials)
+    return e_hat, ci
+
+
 def estimate_error(
     inst: BanditInstance,
     T: int,
@@ -261,22 +348,18 @@ def estimate_error(
     """Monte Carlo misidentification rate and its 95% half-width.
 
     Trial i uses stream rng.stream + i, so the estimate is reproducible and
-    independent of chunking.  Chunks of DEFAULT_CHUNK trials run in vectorized
-    lockstep; each trial is draw-for-draw identical to run_ucbe on its own
-    stream, at explore = 0 under the printed bonus.
+    independent of chunking and of the worker count.  The trials split into
+    one contiguous range per CPU the process may run on, each range but the
+    first in a forked worker; within a range, chunks of DEFAULT_CHUNK trials
+    run in vectorized lockstep.  Each trial is draw-for-draw identical to
+    run_ucbe on its own stream, at explore = 0 under the printed bonus.
+    Each process holds at most one uniform block plus about 1 KB per
+    lockstep trial, so a run holds at most that much per CPU.
     """
     scale = _check_args(inst, T, explore, bonus)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    x_star = summarize(inst).x_star
-    wrong = 0
-    for start in range(0, trials, DEFAULT_CHUNK):
-        count = min(DEFAULT_CHUNK, trials - start)
-        sums, pulls = _lockstep(inst, T, scale, rng, start, count)
-        wrong += int((np.argmax(sums / pulls, axis=1) != x_star).sum())
-    e_hat = wrong / trials
-    ci = 1.96 * math.sqrt(e_hat * (1.0 - e_hat) / trials)
-    return e_hat, ci
+    return _monte_carlo(inst, T, scale, trials, rng, _cpus())
 
 
 def ucbe_error_bound(summary: InstanceSummary, T: int) -> float:

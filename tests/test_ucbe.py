@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from exact_ucbe import exact_error
-from helpers import four_arm_exact
-from qbandit import ucbe
+from helpers import four_arm_exact, write_instance
+from qbandit import cli, ucbe
 from qbandit.bandits import BanditInstance, summarize
 from qbandit.errors import DegenerateInstance
 from qbandit.instances import bernoulli_instance
@@ -275,8 +277,108 @@ def test_block_boundaries_leave_episodes_unchanged(monkeypatch, bonus):
             assert blocked.recommendation == trace.recommendation
 
 
+@pytest.mark.parametrize("seed, base, trials", [
+    (9, 0, 23), (9, 0, 1), (9, 0, 2), (7, 2**32 - 3, 6),
+], ids=["chunk-edges", "one-trial", "two-trials", "stream-2-32"])
+def test_worker_count_leaves_the_estimate_unchanged(monkeypatch, seed, base, trials):
+    """Worker ranges of 4-trial chunks give the one-worker estimate: with
+    fewer trials than workers, and with a worker starting at stream 2**32,
+    where bulk seeding stops."""
+    monkeypatch.setattr(ucbe, "DEFAULT_CHUNK", 4)
+    inst = three_arm_three_outcome()
+    T = 61
+    explore = tuned_explore(summarize(inst), T)
+    one = ucbe._monte_carlo(inst, T, explore, trials, RngStream(seed, base), 1)
+    x_star = summarize(inst).x_star
+    wrong = sum(run_ucbe(inst, T, explore, RngStream(seed, base + i)).recommendation != x_star
+                for i in range(trials))
+    assert one[0] == wrong / trials
+    for workers in (2, 3, 5):
+        assert ucbe._monte_carlo(inst, T, explore, trials, RngStream(seed, base),
+                                 workers) == one
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def fail_after_first_range(error: BaseException):
+    """A _lockstep that raises error in every range but the first, so in a
+    forked worker."""
+    lockstep = ucbe._lockstep
+
+    def failing(inst, T, scale, rng, start, count):
+        if start > 0:
+            raise error
+        return lockstep(inst, T, scale, rng, start, count)
+
+    return failing
+
+
+def test_a_failing_worker_raises_in_the_parent(monkeypatch):
+    monkeypatch.setattr(ucbe, "_cpus", lambda: 3)
+    monkeypatch.setattr(ucbe, "_lockstep", fail_after_first_range(ValueError("worker fault")))
+    inst = bernoulli_instance([0.6, 0.4])
+    with pytest.raises(ValueError, match="worker fault"):
+        estimate_error(inst, 30, 1.0, 90, RngStream(2))
+    assert no_child_left()
+
+
+def test_a_worker_without_a_result_raises_in_the_parent(monkeypatch):
+    lockstep = ucbe._lockstep
+
+    def vanish(inst, T, scale, rng, start, count):
+        if start > 0:
+            os._exit(3)
+        return lockstep(inst, T, scale, rng, start, count)
+
+    monkeypatch.setattr(ucbe, "_lockstep", vanish)
+    inst = bernoulli_instance([0.6, 0.4])
+    with pytest.raises(ChildProcessError, match="without a result"):
+        ucbe._monte_carlo(inst, 30, 1.0, 90, RngStream(2), 2)
+    assert no_child_left()
+
+
+def test_workers_are_killed_when_the_parent_fails(monkeypatch):
+    """The parent's own range raising stops and reaps the workers at once,
+    rather than waiting out their 30 s."""
+    lockstep = ucbe._lockstep
+
+    def interrupted(inst, T, scale, rng, start, count):
+        if start == 0:
+            raise KeyboardInterrupt
+        time.sleep(30)
+        return lockstep(inst, T, scale, rng, start, count)
+
+    monkeypatch.setattr(ucbe, "_lockstep", interrupted)
+    inst = bernoulli_instance([0.6, 0.4])
+    begin = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        ucbe._monte_carlo(inst, 30, 1.0, 90, RngStream(2), 3)
+    assert time.perf_counter() - begin < 10
+    assert no_child_left()
+
+
+def test_a_failing_worker_exits_the_cli_with_one_error_line(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    write_instance(path, bernoulli_instance([0.5, 0.25]))
+    monkeypatch.setattr(ucbe, "_cpus", lambda: 2)
+    monkeypatch.setattr(ucbe, "_lockstep", fail_after_first_range(ValueError("worker fault")))
+    code = cli.main(["ucbe", "--instance", str(path), "-T", "40", "--trials", "50"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["qbandit: error: worker fault"]
+    assert no_child_left()
+
+
 def test_estimate_error_memory_is_bounded_by_budget(monkeypatch):
     """Held uniforms stay within the block budget, however long the episode.
+    The trials run in one process, the most any one worker holds.
 
     Drawing all T uniforms of every trial at once would take 200 * 5000 * 8 B
     = 8 MB here, against a 64 KiB block.  Beyond the block, a trial holds one
@@ -287,10 +389,10 @@ def test_estimate_error_memory_is_bounded_by_budget(monkeypatch):
     monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", budget)
     inst = bernoulli_instance([0.5, 0.25])
     T, trials = 5000, 200
-    estimate_error(inst, 20, 1.0, 2, RngStream(0))   # warm imports and caches
+    ucbe._monte_carlo(inst, 20, 1.0, 2, RngStream(0), 1)   # warm imports and caches
     tracemalloc.start()
     try:
-        estimate_error(inst, T, 1.0, trials, RngStream(0))
+        ucbe._monte_carlo(inst, T, 1.0, trials, RngStream(0), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -301,15 +403,16 @@ def test_estimate_error_memory_is_bounded_by_budget(monkeypatch):
 def test_uniforms_are_held_once(monkeypatch):
     """The kernel reads each round straight from the block the generators
     wrote, so the uniforms are held once.  Here a block is 200 * 2621 * 8 B
-    = 4.2 MB; a second copy of it would put the peak above the bound."""
+    = 4.2 MB, all trials in one process; a second copy of it would put the
+    peak above the bound."""
     budget = 4 << 20
     monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", budget)
     inst = bernoulli_instance([0.5, 0.25])
     T, trials = 5000, 200
-    estimate_error(inst, 20, 1.0, 2, RngStream(0))   # warm imports and caches
+    ucbe._monte_carlo(inst, 20, 1.0, 2, RngStream(0), 1)   # warm imports and caches
     tracemalloc.start()
     try:
-        estimate_error(inst, T, 1.0, trials, RngStream(0))
+        ucbe._monte_carlo(inst, T, 1.0, trials, RngStream(0), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -318,14 +421,15 @@ def test_uniforms_are_held_once(monkeypatch):
 
 def test_estimate_error_memory_at_the_default_block():
     """The four-arm criterion-5 shape, T=900 with 2500 trials, holds one block
-    of at most 2 MiB plus about 1 KB per trial: about 4.8 MiB traced.  An
-    8 MiB block with one SeedSequence per trial traced 10.6 MiB."""
+    of at most 2 MiB plus about 1 KB per trial: about 4.8 MiB traced, all
+    trials in one process.  An 8 MiB block with one SeedSequence per trial
+    traced 10.6 MiB."""
     inst = four_arm_exact()
     explore = tuned_explore(summarize(inst), 900)
-    estimate_error(inst, 20, explore, 2, RngStream(0))   # warm imports and caches
+    ucbe._monte_carlo(inst, 20, explore, 2, RngStream(0), 1)   # warm imports and caches
     tracemalloc.start()
     try:
-        estimate_error(inst, 900, explore, 2500, RngStream(0))
+        ucbe._monte_carlo(inst, 900, explore, 2500, RngStream(0), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
