@@ -20,30 +20,32 @@ The two routes agreeing to ~1e-12 is the package's central cross-check, and
 `cross_check` is the one place that compares them.
 
 The simulator is one kernel.  `build_operators` computes its inputs once: the
-agent amplitudes alpha, the environment preparation W_env as a
-`HouseholderPrep` reflector set with phases (one reflector per arm, whose
-first column is sqrt(nu[x]), times random phases when asked) and its
-conjugate, the oracle's sign array, the readout indices and the prepared
-state W_env (alpha (x) e0).  One step, W S W* O, then updates a private
+environment preparation W_env = G H as a `HouseholderPrep` (H one Householder
+reflector per arm and G one unit phase per arm, so that W_env maps arm x's
+|0> to sqrt(nu[x]), times random phases when asked), the agent amplitudes
+with G folded in, the oracle's sign array, the readout indices and the
+prepared state W_env (alpha (x) e0).  The preparation is W = W_env W_agent,
+and W_agent S W_agent* depends on W_agent only through its first column
+alpha: it is R_alpha = 2|alpha,0><alpha,0| - I for the composite anchor
+reflection S = 2|00><00| - I, and (2|alpha><alpha| - I) (x) (2|0><0| - I)
+for the tensor one, so no agent preparation is ever built.  G = diag(g) (x) I
+acts on the agent axis alone and H is block-diagonal in the arm, so G H = H G
+and G R_alpha G* = R_{g alpha}: the step W S W* = H R_{g alpha} H and the
+prepared state H (g alpha (x) e0) need g only through g alpha, which
+`build_operators` computes once.  One step, W S W* O, then updates a private
 outcome-major (M, N) amplitude buffer in place in O(N*M), in four stages:
-the oracle O multiplies rewarded pairs by -1, W_env* follows, then the agent
-reflection, then W_env.  The preparation is W = W_env W_agent, and
-W_agent S W_agent* depends on W_agent only through its first column alpha:
-it is 2|alpha,0><alpha,0| - I for the composite anchor reflection
-S = 2|00><00| - I, and (2|alpha><alpha| - I) (x) (2|0><0| - I) for the
-tensor one, so the kernel applies it as one reflection about alpha and no
-agent preparation is ever built.  The environment reflectors are stored the
-way the buffer is read, as an (M, N) array with arm x's reflector in column
-x.  The composite reflection W S W* = 2|psi0><psi0| - I depends on W only
-through W|0>, so any completion gives the same loop; the tensor variant
-does depend on how the environment preparation is completed.
+the oracle O multiplies rewarded pairs by -1, H follows, then the reflection
+about g alpha, then H again.  The buffer holds the true state throughout.
+The environment reflectors are stored the way the buffer is read, as an
+(M, N) array with arm x's reflector in column x.  The composite reflection
+W S W* = 2|psi0><psi0| - I depends on W only through W|0>, so any
+completion gives the same loop; the tensor variant does depend on how the
+environment preparation is completed.
 
 `build_operators` picks the kernel's one dtype.  Real alpha (or the uniform
-default) without phase_rng makes alpha and every reflector and phase real,
-so they and the buffer are float64; complex alpha or phase_rng makes them
-complex128.  The one step function serves both.  A real phase is -c0/|c0|
-rounded through a complex division, so it is -1 or +1 to within an ulp, not
-always exactly.
+default) without phase_rng makes alpha and every reflector real, so they and
+the buffer are float64, and every phase g is exactly -1; complex alpha or
+phase_rng makes them complex128.  The one step function serves both.
 
 This module alone knows the amplitude layout.  A `StateVector` is the
 validated, read-only x-major state that crosses the package boundary,
@@ -125,20 +127,19 @@ def marginal_over_y(s: StateVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HouseholderPrep:
-    """The environment preparation W_env = g (I - 2 u u*), one reflector per arm.
+    """The environment preparation W_env = G H, one reflector per arm.
 
-    Each reflector runs along buffer axis 0: u is an (M, N) array whose
-    column x reflects the outcomes of arm x, and phase, shaped (1, N) to
-    broadcast against the buffer, holds each reflector's unit factor g.
-    I - 2 u u* is Hermitian, so W* is the same u with conjugated phases;
-    u_conj and phase_conj are the conjugates, computed once so that no step
-    recomputes them.
+    H = I - 2 u u* is Hermitian and runs along buffer axis 0: u is an (M, N)
+    array whose column x reflects the outcomes of arm x, and u_conj is its
+    conjugate, computed once so that no step recomputes it.  G multiplies arm
+    x's block by the unit factor phase[x], shape (N,); it acts on the agent
+    axis alone, so `build_operators` folds it into alpha and the kernel
+    applies H only.
     """
 
     u: np.ndarray
     u_conj: np.ndarray
     phase: np.ndarray
-    phase_conj: np.ndarray
 
     @classmethod
     def from_columns(cls, columns: np.ndarray) -> HouseholderPrep:
@@ -153,27 +154,18 @@ class HouseholderPrep:
         The norms are taken along contiguous rows, one reflector each, before
         arm x's reflector is laid down column x of the buffer.
 
-        Real columns give real u and g, stored as float64; any other columns
-        give complex128.  Real columns are still normalized in complex
-        arithmetic, whose division multiplies by a reciprocal, so their
-        reflectors are, bit for bit, the real parts of those the same columns
-        cast to complex give.  That division can also leave a real g one ulp
-        inside -1 rather than exactly -sign(c0).
+        Everything is computed in the columns' own dtype: real columns give
+        float64 u and g = -sign(c0) exactly, any other columns complex128.
         """
-        real = not np.iscomplexobj(columns)
-        c = np.array(columns, dtype=np.complex128)
-        c /= np.linalg.norm(c, axis=1)[:, None]
+        c = columns / np.linalg.norm(columns, axis=1)[:, None]
         mag = np.abs(c[:, 0])
-        gamma = -np.ones(len(c), dtype=np.complex128)
+        gamma = -np.ones_like(c[:, 0])
         np.divide(-c[:, 0].conj(), mag, out=gamma, where=mag > 0)
         v = -gamma[:, None] * c
         v[:, 0] += 1.0
         v /= np.linalg.norm(v, axis=1)[:, None]
-        if real:
-            v, gamma = v.real, gamma.real
         u = np.ascontiguousarray(v.T)
-        phase = gamma.conj()[None, :]
-        arrays = (u, u.conj(), phase, phase.conj())
+        arrays = (u, u.conj(), gamma.conj())
         for a in arrays:
             a.setflags(write=False)
         return cls(*arrays)
@@ -183,15 +175,19 @@ class HouseholderPrep:
 class QbaiOperators:
     """The kernel's inputs for one amplification setup, computed once.
 
-    The preparation is W = W_env W_agent.  A step needs W_agent only through
-    its first column, the agent amplitudes alpha (shape (N,), contiguous), so
-    no agent reflector is held; prep_env holds W_env as Householder
-    reflectors with their conjugates, O(N*M) in all.  good is the (N, M)
-    mask of rewarded pairs; sign holds the oracle O's -1 on them and +1
-    elsewhere in the (M, N) buffer layout.  good_index and bad_index are the
-    flat buffer positions of the rewarded and the unrewarded pairs, in
-    x-major order.  reflection names the anchor reflection S about |00>:
-    "composite" (2|00><00| - I) or "tensor" ((2|0><0| - I) on each axis).
+    The preparation is W = W_env W_agent with W_env = G H.  A step needs
+    W_agent only through its first column, the agent amplitudes, and G only
+    through its product with them, so alpha (shape (N,), contiguous) holds
+    g alpha: each arm's amplitude times its environment phase g =
+    prep_env.phase.  On the real kernel every g is -1, so alpha is exactly
+    minus the agent amplitudes.  No agent reflector is held; prep_env holds
+    W_env as Householder reflectors with their conjugates and phases, O(N*M)
+    in all.  good is the (N, M) mask of rewarded pairs; sign holds the
+    oracle O's -1 on them and +1 elsewhere in the (M, N) buffer layout.
+    good_index and bad_index are the flat buffer positions of the rewarded
+    and the unrewarded pairs, in x-major order.  reflection names the anchor
+    reflection S about |00>: "composite" (2|00><00| - I) or "tensor"
+    ((2|0><0| - I) on each axis).
     """
 
     alpha: np.ndarray
@@ -316,8 +312,9 @@ def build_operators(
 
     Real alpha (or None) without phase_rng makes alpha and every reflector
     and phase real, so the operators, and the buffer the kernel steps, are
-    float64;
-    complex alpha or phase_rng makes them complex128.
+    float64; complex alpha or phase_rng makes them complex128.  The
+    operators' alpha is g alpha, the given alpha times the environment
+    phases (see `QbaiOperators`); psi0_state is the true prepared state.
     """
     if reflection not in REFLECTIONS:
         raise ValueError(f"reflection must be one of {REFLECTIONS}, got {reflection!r}")
@@ -330,11 +327,12 @@ def build_operators(
     elif not np.iscomplexobj(alpha):
         # every column is real, so the kernel runs in float64
         al, env_cols = al.real, env_cols.real
-    al = np.ascontiguousarray(al)
     prep_env = HouseholderPrep.from_columns(env_cols)
+    # the step and psi0 = H (g alpha (x) e0) need G only through g alpha
+    al = prep_env.phase * al
     amps = np.zeros((m, n), dtype=al.dtype)
     amps[0] = al
-    _prepare(amps, prep_env, np.empty_like(amps))
+    _reflect_env(amps, prep_env, np.empty_like(amps))
     good = inst.f == 1
     # buffer position y * N + x of each pair, read in x-major order
     index = np.arange(m * n).reshape(m, n).T
@@ -380,10 +378,9 @@ def success_probability(
                       n_star=math.ceil(math.pi / (4.0 * theta) - 1.0))
 
 
-def _prepare(
-    amps: np.ndarray, prep: HouseholderPrep, work: np.ndarray, adjoint: bool = False
-) -> None:
-    """amps <- W_env amps (W_env* amps when adjoint) in place on the (M, N) buffer.
+def _reflect_env(amps: np.ndarray, prep: HouseholderPrep, work: np.ndarray) -> None:
+    """amps <- H amps in place on the (M, N) buffer, H = I - 2 u u* the
+    environment reflectors; H is its own inverse.
 
     work is an (M, N) scratch buffer.  The projection u* v of each arm sums
     its M terms across rows, elementwise.
@@ -392,7 +389,6 @@ def _prepare(
     # u first: with fused multiply-adds a complex product rounds differently
     # when its operands swap
     amps -= np.multiply(prep.u, 2.0 * proj, out=work)
-    amps *= prep.phase_conj if adjoint else prep.phase
 
 
 def _reflect_agent(
@@ -413,7 +409,7 @@ def _reflect_agent(
         row = work[:1]
         proj = np.multiply(amps[:1], alpha_conj, out=row).sum(axis=1, keepdims=True)
         np.negative(amps, out=amps)
-        # alpha first, as in _prepare
+        # alpha first, as in _reflect_env
         amps[:1] += np.multiply(alpha, 2.0 * proj, out=row)
     else:
         proj = np.multiply(amps, alpha_conj, out=work).sum(axis=1, keepdims=True)
@@ -424,13 +420,13 @@ def _reflect_agent(
 def _step(ops: QbaiOperators, amps: np.ndarray, work: np.ndarray) -> None:
     """One amplification step W S W* O on the (M, N) buffer amps, in place.
 
-    W S W* = W_env (W_agent S W_agent*) W_env*, and the middle factor is
-    one reflection about alpha.  Multiplying by +-1 changes no magnitude.
+    W S W* = G H (W_agent S W_agent*) H G* = H R H, R the reflection about
+    ops.alpha = g alpha.  Multiplying by +-1 changes no magnitude.
     """
     amps *= ops.sign
-    _prepare(amps, ops.prep_env, work, adjoint=True)
+    _reflect_env(amps, ops.prep_env, work)
     _reflect_agent(amps, ops.alpha, ops.reflection, work)
-    _prepare(amps, ops.prep_env, work)
+    _reflect_env(amps, ops.prep_env, work)
 
 
 def _buffer(s: StateVector, dtype=None) -> np.ndarray:

@@ -5,10 +5,11 @@ Each matrix is built from the fields of `QbaiOperators` (the agent
 amplitudes, the environment reflectors and phases, the reward mask, the
 reflection name), never through the in-place kernel, so multiplying by it is
 an independent route for checking the kernel.  The kernel holds no agent
-preparation; `agent_matrix` completes alpha to its own Householder unitary,
-so `step_matrix` multiplies out W S W* in full rather than trusting the
-reflection about alpha that the kernel applies.  It is a test oracle, not a
-scalable path.
+preparation and folds the environment phases G into alpha; `agent_matrix`
+completes alpha to its own Householder unitary, so `step_matrix` multiplies
+out W S W* with W = G H W_agent in full rather than trusting the reflection
+about g alpha that the kernel applies.  It is a test oracle, not a scalable
+path.
 """
 
 from __future__ import annotations
@@ -27,21 +28,27 @@ def _size(dims: tuple[int, int], cap: int) -> int:
     return d
 
 
-def _reflector(u: np.ndarray, g: complex) -> np.ndarray:
-    """g (I - 2 u u*) for one unit vector u."""
-    return g * (np.eye(u.size, dtype=np.complex128) - 2.0 * np.outer(u, u.conj()))
+def _reflector(u: np.ndarray) -> np.ndarray:
+    """I - 2 u u* for one unit vector u."""
+    return np.eye(u.size, dtype=np.complex128) - 2.0 * np.outer(u, u.conj())
 
 
-def densify(prep: HouseholderPrep, dims: tuple[int, int],
-            cap: int = DENSIFY_CAP) -> np.ndarray:
-    """W_env on the composite space of the given (N, M) dims: column x of the
+def reflectors(prep: HouseholderPrep, dims: tuple[int, int],
+               cap: int = DENSIFY_CAP) -> np.ndarray:
+    """H on the composite space of the given (N, M) dims: column x of the
     reflectors reflects the y block of arm x."""
     n, m = dims
     d = _size(dims, cap)
     out = np.zeros((d, d), dtype=np.complex128)
     for x in range(n):
-        out[x * m:(x + 1) * m, x * m:(x + 1) * m] = _reflector(prep.u[:, x], prep.phase[0, x])
+        out[x * m:(x + 1) * m, x * m:(x + 1) * m] = _reflector(prep.u[:, x])
     return out
+
+
+def densify(prep: HouseholderPrep, dims: tuple[int, int],
+            cap: int = DENSIFY_CAP) -> np.ndarray:
+    """W_env = G H: arm x's block of H times its phase g_x."""
+    return np.repeat(prep.phase, dims[1])[:, None] * reflectors(prep, dims, cap)
 
 
 def agent_matrix(alpha: np.ndarray, dims: tuple[int, int],
@@ -57,7 +64,7 @@ def agent_matrix(alpha: np.ndarray, dims: tuple[int, int],
     gamma = -a[0].conj() / abs(a[0]) if a[0] != 0 else -1.0
     v = -gamma * a
     v[0] += 1.0
-    agent = _reflector(v / np.linalg.norm(v), np.conj(gamma))
+    agent = np.conj(gamma) * _reflector(v / np.linalg.norm(v))
     return np.kron(agent, np.eye(dims[1], dtype=np.complex128))
 
 
@@ -81,9 +88,11 @@ def anchor_matrix(dims: tuple[int, int], reflection: str) -> np.ndarray:
 
 
 def step_matrix(ops: QbaiOperators, cap: int = DENSIFY_CAP) -> np.ndarray:
-    """W S W* O, with W = W_env W_agent."""
+    """W S W* O, with W = W_env W_agent and W_agent completing the agent
+    amplitudes conj(g) ops.alpha."""
     dims = ops.psi0_state.dims
     _size(dims, cap)
-    w = densify(ops.prep_env, dims, cap) @ agent_matrix(ops.alpha, dims, cap)
+    alpha = ops.prep_env.phase.conj() * ops.alpha
+    w = densify(ops.prep_env, dims, cap) @ agent_matrix(alpha, dims, cap)
     s = anchor_matrix(dims, ops.reflection)
     return w @ s @ w.conj().T @ oracle_matrix(ops.good)

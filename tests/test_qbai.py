@@ -112,7 +112,7 @@ def test_reflectors_are_stored_along_the_buffer():
     assert abs(np.linalg.norm(ops.alpha) - 1.0) <= 1e-14
     prep = ops.prep_env
     assert prep.u.shape == prep.u_conj.shape == (m, n)
-    assert prep.phase.shape == prep.phase_conj.shape == (1, n)
+    assert prep.phase.shape == (n,)
     assert prep.u.flags.c_contiguous and prep.u_conj.flags.c_contiguous
     assert np.abs(np.linalg.norm(prep.u, axis=0) - 1.0).max() <= 1e-14
     assert np.abs(np.abs(prep.phase) - 1.0).max() <= 1e-14
@@ -144,6 +144,45 @@ def test_non_finite_alpha_rejected(bad):
     for build in (build_operators, success_probability):
         with pytest.raises(ValueError, match="alpha must be finite"):
             build(inst, np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("complex_alpha", [False, True],
+                         ids=["real-alpha", "complex-alpha"])
+def test_prepared_state_carries_the_environment_phases(complex_alpha):
+    """The kernel folds each arm's phase g into alpha, yet psi0_state is the
+    true prepared state alpha_x c_x / |c_x|, c_x arm x's phased column
+    sqrt(nu[x]) exp(2 pi i r) from the same draws r; one grover_step of it
+    equals the dense step.  A fold by conj(g) would leave every law alone
+    and move these phases."""
+    rng = np.random.default_rng(12)
+    inst = BanditInstance(nu=rng.dirichlet(np.ones(5), size=6),
+                          f=(rng.random((6, 5)) < 0.4).astype(int))
+    alpha = rng.normal(size=6) + (1j * rng.normal(size=6) if complex_alpha else 0.0)
+    alpha /= np.linalg.norm(alpha)
+    ops = build_operators(inst, alpha, phase_rng=RngStream(8).generator())
+    c = np.sqrt(inst.nu) * np.exp(2j * np.pi * RngStream(8).generator().random((6, 5)))
+    want = alpha[:, None] * c / np.linalg.norm(c, axis=1)[:, None]
+    psi0 = ops.psi0_state.amps
+    assert np.abs(psi0 - want.reshape(-1)).max() <= 1e-15
+    stepped = grover_step(ops, ops.psi0_state).amps
+    assert np.abs(stepped - step_matrix(ops) @ psi0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_real_kernel_phases_are_exactly_minus_one(seed):
+    """Real columns are normalized in float64, so every phase is -1 bit for
+    bit and the kernel's alpha is exactly minus the agent amplitudes, on the
+    uniform default and on a real alpha of +-1/16 entries, whose norm is
+    exactly 1."""
+    rng = np.random.default_rng(seed)
+    inst = BanditInstance(nu=rng.dirichlet(np.ones(16), size=256),
+                          f=(rng.random((256, 16)) < 0.1).astype(int))
+    signs = np.where(rng.random(256) < 0.5, -1.0, 1.0) / 16
+    for alpha, want in ((None, np.full(256, 1 / 16)), (signs, signs)):
+        ops = build_operators(inst, alpha)
+        assert ops.prep_env.phase.dtype == ops.alpha.dtype == np.float64
+        assert np.array_equal(ops.prep_env.phase, np.full(256, -1.0))
+        assert ops.alpha.tobytes() == (-want).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -556,7 +595,7 @@ def test_simulator_matches_high_precision_law_at_65536_arms():
 
 def _prep_dtypes(ops) -> set:
     prep = ops.prep_env
-    return {a.dtype for a in (ops.alpha, prep.u, prep.u_conj, prep.phase, prep.phase_conj)}
+    return {a.dtype for a in (ops.alpha, prep.u, prep.u_conj, prep.phase)}
 
 
 def test_operator_dtype_follows_alpha_and_phases():
@@ -586,7 +625,7 @@ def _as_complex(ops):
     return dataclasses.replace(ops, alpha=ops.alpha.astype(np.complex128),
                                prep_env=dataclasses.replace(prep, **{
                                    name: getattr(prep, name).astype(np.complex128)
-                                   for name in ("u", "u_conj", "phase", "phase_conj")}),
+                                   for name in ("u", "u_conj", "phase")}),
                                psi0_state=dataclasses.replace(
                                    psi0, amps=psi0.amps.astype(np.complex128)))
 
