@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .ucbe import (
     ucbe_error_bound,
     ucbe_min_rounds,
 )
+from .workers import Forked, cpus as _cpus
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,10 @@ def _cmd_simulate(cfg: RunConfig):
     return ["n", "good_amp", "bad_amp", *_arm_cols(inst)], rows, {}
 
 
-# closed-form cells (step counts x arms) per block of the analytic table.
-# Each cell leaves as a Python float, several times its numpy size, so the
-# block stays small and a streamed table's memory stays flat.
+# cells per block: analytic evaluates the closed form on this many cells
+# (step counts x arms) at a time, and each table is formatted in blocks of
+# this many cells.  Each cell leaves as a Python float, several times its
+# numpy size, so the block stays small and a streamed table's memory stays flat.
 BLOCK_CELLS = 1 << 10
 
 
@@ -211,25 +216,115 @@ def _recorded_config(cfg: RunConfig) -> dict:
     return record
 
 
-def _write_json(fh, fields: dict, fieldnames: list[str], rows: Iterable[tuple]) -> None:
-    """Write json.dumps({**fields, "rows": rows}, indent=2, sort_keys=True) and a
-    newline, one row at a time; each row is a tuple in fieldnames order."""
-    frame = json.dumps({**fields, "rows": []}, indent=2, sort_keys=True)
-    head, _, tail = frame.partition('"rows": []')
+# exact types a block may hold to go through one %r template; csv and json
+# write a subclass such as bool or np.float64 in their own way
+_NUMBERS = {int, float}
+
+
+def _csv_block(width: int) -> Callable[[list[tuple]], str]:
+    """A block formatter writing what csv.writer writes for the block's rows."""
+    template = ",".join(["%r"] * width) + "\r\n"
+
+    def fmt(block: list[tuple]) -> str:
+        cells = tuple(chain.from_iterable(block))
+        if set(map(type, cells)) <= _NUMBERS:
+            return template * len(block) % cells
+        buf = io.StringIO()
+        csv.writer(buf).writerows(block)
+        return buf.getvalue()
+
+    return fmt
+
+
+def _json_block(fieldnames: list[str]) -> Callable[[list[tuple]], str]:
+    """A block formatter writing each row as json.dumps(indent=2,
+    sort_keys=True) writes it inside the rows list, after a newline and an
+    indent, rows joined by commas."""
+    order = sorted(range(len(fieldnames)), key=fieldnames.__getitem__)
+    keys = [fieldnames[i] for i in order]
+    template = "\n    {\n      " + ",\n      ".join(
+        json.dumps(key).replace("%", "%%") + ": %r" for key in keys) + "\n    }"
     # a flat row differs from its indent=2 form only in the separators, so
     # these separators let the C encoder write each row's body
     encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
-    # the keys are sorted once; each row dict is built in that order
-    order = sorted(range(len(fieldnames)), key=fieldnames.__getitem__)
-    keys = [fieldnames[i] for i in order]
+
+    def fmt(block: list[tuple]) -> str:
+        cells = tuple([row[i] for row in block for i in order])
+        # json writes NaN and Infinity where repr writes nan and inf
+        if set(map(type, cells)) <= _NUMBERS and all(
+                map(math.isfinite, filter(float.__instancecheck__, cells))):
+            return ",".join([template] * len(block)) % cells
+        dicts = (dict(zip(keys, [row[i] for i in order])) for row in block)
+        return ",".join("\n    {\n      " + encode(d)[1:-1] + "\n    }" for d in dicts)
+
+    return fmt
+
+
+def _share(worker: int, procs: int, block: list[tuple], rows: Iterator[tuple],
+           size: int, fmt: Callable[[list[tuple]], str]) -> Iterator[bytes]:
+    """Worker `worker`'s part of _write_rows: walking rows on from block, the
+    text of each block b with b mod procs == worker."""
+    # the parent walks the same rows and shows each warning once
+    warnings.simplefilter("ignore")
+    b = 0
+    while block:
+        if b % procs == worker:
+            yield fmt(block).encode(errors="surrogatepass")
+        if len(block) < size:
+            return
+        block = list(islice(rows, size))
+        b += 1
+
+
+def _write_rows(write: Callable[[str], object], rows: Iterable[tuple], width: int,
+                fmt: Callable[[list[tuple]], str], sep: str) -> bool:
+    """Write each block of rows as fmt(block), in order, with sep between
+    blocks; return whether any row was written.
+
+    A block holds BLOCK_CELLS cells, or one row if a row is wider.  When a
+    second block follows the first, one process per CPU formats the table:
+    each walks rows, process b mod P formats block b, and this process writes
+    every block in order, reading the others' text from their pipes.  If rows
+    raises, the rows read since the last block written are written, and the
+    exception goes on.
+    """
+    size = max(1, BLOCK_CELLS // width)
+    rows = iter(rows)
+    procs, b, block = 1, 0, []
+    with Forked() as forked:
+        try:
+            block.extend(islice(rows, size))
+            if len(block) == size and (ahead := list(islice(rows, 1))):
+                rows = chain(ahead, rows)
+                procs = _cpus()
+                for worker in range(1, procs):
+                    forked.start(_share, worker, procs, block, rows, size, fmt)
+            while block:
+                owner = b % procs
+                done, block = block, []
+                text = (fmt(done) if owner == 0
+                        else forked.receive(owner - 1).decode(errors="surrogatepass"))
+                write(sep + text if b else text)
+                b += 1
+                if len(done) < size:
+                    break
+                block.extend(islice(rows, size))
+        except BaseException:
+            if block:
+                write((sep if b else "") + fmt(block))
+            raise
+    return b > 0
+
+
+def _write_json(fh, fields: dict, fieldnames: list[str], rows: Iterable[tuple]) -> None:
+    """Write json.dumps({**fields, "rows": rows}, indent=2, sort_keys=True) and a
+    newline, block by block; each row is a tuple in fieldnames order."""
+    frame = json.dumps({**fields, "rows": []}, indent=2, sort_keys=True)
+    head, _, tail = frame.partition('"rows": []')
     fh.write(head + '"rows": [')
-    sep = "\n    "
-    for row in rows:
-        body = encode(dict(zip(keys, [row[i] for i in order])))[1:-1]
-        fh.write(sep + "{\n      " + body + "\n    }")
-        sep = ",\n    "
+    wrote = _write_rows(fh.write, rows, len(fieldnames), _json_block(fieldnames), ",")
     # json.dumps writes an empty list as []
-    fh.write(("\n  ]" if sep == ",\n    " else "]") + tail + "\n")
+    fh.write(("\n  ]" if wrote else "]") + tail + "\n")
 
 
 def _write_table(fh, cfg: RunConfig, fieldnames: list[str], rows: Iterable[tuple],
@@ -245,16 +340,18 @@ def _write_table(fh, cfg: RunConfig, fieldnames: list[str], rows: Iterable[tuple
     for key, value in extra.items():
         fh.write(f"# {key} = {value}\n")
     fh.write(f"# timestamp = {timestamp}\n")
-    writer = csv.writer(fh)
-    writer.writerow(fieldnames)
-    writer.writerows(rows)
+    csv.writer(fh).writerow(fieldnames)
+    _write_rows(fh.write, rows, len(fieldnames), _csv_block(len(fieldnames)), "")
 
 
 def _emit(cfg: RunConfig, fieldnames: list[str], rows: Iterable[tuple], extra: dict) -> None:
-    """Write the header, then each row as it arrives, to -o or to stdout.
+    """Write the header, then the rows block by block as they arrive, to -o
+    or to stdout.
 
-    A failure after the -o file is opened removes the file, so no truncated
-    table is left behind; on stdout the rows already written stay written.
+    A table of more than one block is formatted by one process per CPU, each
+    walking the same rows and holding one block at a time (_write_rows).  A
+    failure after the -o file is opened removes the file, so no truncated
+    table is left behind; stdout keeps every row computed before the failure.
     """
     if not cfg.output:
         _write_table(sys.stdout, cfg, fieldnames, rows, extra)

@@ -83,7 +83,15 @@ def _as_table(raw: object, n: int, m: int, field: str) -> np.ndarray:
             _require(all(isinstance(v, (int, float)) and not isinstance(v, bool)
                          for v in row),
                      f"field '{field}' row {i}: entries must be numbers")
-    return np.array(rows, dtype=np.float64)
+    return _floats(rows, field)
+
+
+def _floats(raw: list, field: str) -> np.ndarray:
+    try:
+        return np.array(raw, dtype=np.float64)
+    except OverflowError:
+        # an integer literal beyond the float64 range
+        raise InstanceFormatError(f"field '{field}': entries must fit in float64") from None
 
 
 def load_instance(path: str | Path) -> tuple[BanditInstance, np.ndarray | None]:
@@ -105,6 +113,8 @@ def load_instance(path: str | Path) -> tuple[BanditInstance, np.ndarray | None]:
         raise InstanceFormatError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise InstanceFormatError(f"{path}: nested too deeply") from None
     _require(isinstance(data, dict), f"{path}: top level must be an object")
     unknown = set(data) - _KEYS
     _require(not unknown, f"{path}: unknown field(s) {sorted(unknown)}")
@@ -130,7 +140,7 @@ def load_instance(path: str | Path) -> tuple[BanditInstance, np.ndarray | None]:
         _require(all(isinstance(v, (int, float)) and not isinstance(v, bool)
                      for v in raw),
                  "field 'alpha': entries must be numbers")
-        alpha = np.array(raw, dtype=np.float64)
+        alpha = _floats(raw, "alpha")
         _require(bool(np.isfinite(alpha).all()), "field 'alpha': entries must be finite")
         off = abs(float((alpha ** 2).sum()) - 1.0)
         if off > RESCALE_TOL:

@@ -27,14 +27,13 @@ plus the lockstep state per CPU.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
 from .bandits import BanditInstance, InstanceSummary, summarize
 from .errors import DegenerateInstance
+from .workers import Forked, cpus as _cpus
 
 BONUS_VARIANTS = ("per-arm", "printed")
 # trials run in lockstep by one kernel call
@@ -255,43 +254,6 @@ def run_ucbe(inst: BanditInstance, T: int, explore: float, rng: RngStream) -> Uc
     return UcbeTrace(pulls=pulls, means=means, recommendation=int(np.argmax(means)))
 
 
-def _cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork(work, *args) -> tuple[int, BinaryIO]:
-    """Run work(*args) in a forked child; return its pid and the read end of
-    a pipe that carries the integer result in decimal, or "!" and the pickled
-    exception.  The child never returns into the caller's stack."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, os.fdopen(read, "rb")
-    try:
-        os.close(read)
-        try:
-            payload = b"%d" % work(*args)
-        except BaseException as exc:
-            import pickle
-            payload = b"!" + pickle.dumps(exc)
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        # no atexit handler, no inherited buffer flush, no caller frame
-        os._exit(0)
-
-
 def _monte_carlo(
     inst: BanditInstance, T: int, scale: float, trials: int, rng: RngStream, workers: int
 ) -> tuple[float, float]:
@@ -308,29 +270,16 @@ def _monte_carlo(
             wrong += int((np.argmax(sums / pulls, axis=1) != x_star).sum())
         return wrong
 
+    def frames(start: int, stop: int):
+        yield b"%d" % misidentified(start, stop)
+
     workers = min(workers, trials)
     bounds = [trials * w // workers for w in range(workers + 1)]
-    children: list[tuple[int, BinaryIO]] = []
-    payloads = None
-    try:
+    with Forked() as forked:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork(misidentified, start, stop))
+            forked.start(frames, start, stop)
         wrong = misidentified(0, bounds[1])
-        payloads = [pipe.read() for _, pipe in children]
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if payloads is None:
-                import signal
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for payload in payloads:
-        if payload.startswith(b"!"):
-            import pickle
-            raise pickle.loads(payload[1:])
-        if not payload:
-            raise ChildProcessError("a Monte Carlo worker ended without a result")
-        wrong += int(payload)
+        wrong += sum(int(forked.receive(w)) for w in range(workers - 1))
     e_hat = wrong / trials
     ci = 1.96 * math.sqrt(e_hat * (1.0 - e_hat) / trials)
     return e_hat, ci
@@ -381,4 +330,7 @@ def ucbe_min_rounds(summary: InstanceSummary, delta: float) -> int:
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     n = len(summary.a)
-    return math.floor(18.0 * summary.h1 * math.log(2.0 * n / delta) + n) + 1
+    rounds = 18.0 * summary.h1 * math.log(2.0 * n / delta) + n
+    if not math.isfinite(rounds):
+        raise ValueError(f"delta {delta} puts the minimum rounds beyond float range")
+    return math.floor(rounds) + 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 
@@ -25,6 +26,15 @@ def two_arm_stochastic() -> BanditInstance:
         nu=np.array([[0.5, 0.5], [0.5, 0.5]]),
         f=np.array([[1, 0], [0, 0]]),
     )
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def write_instance(path, inst: BanditInstance, alpha=None) -> None:

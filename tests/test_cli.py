@@ -12,14 +12,16 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import perturb_compare_runs, write_instance
+from helpers import no_child_left, perturb_compare_runs, write_instance
 import qbandit
 from qbandit import cli
 from qbandit.bandits import BanditInstance
@@ -304,6 +306,21 @@ def test_bad_delta_rejected_before_the_monte_carlo(monkeypatch, capsys, instance
     assert "delta must lie in (0, 1)" in captured.err
 
 
+def test_delta_whose_bound_leaves_float_range_rejected(monkeypatch, capsys,
+                                                        instance_path):
+    """2N / 1e-320 overflows, so the minimum rounds are not finite: exit 1,
+    naming delta, before the Monte Carlo."""
+    def no_monte_carlo(*args, **kwargs):
+        pytest.fail("estimate_error ran before --delta was checked")
+    monkeypatch.setattr(cli, "estimate_error", no_monte_carlo)
+    argv = ["ucbe", "--instance", instance_path, "-T", "120", "--delta", "1e-320"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qbandit: error: delta 1e-320 puts the minimum rounds "
+                            "beyond float range\n")
+
+
 @pytest.mark.parametrize("command, fields, message", [
     ("analytic", {"nu": [[0.50000001, 0.5], [0.25, 0.75]]},
      "rescaled 1 nu row(s) off normalization by up to 1.000e-08"),
@@ -449,6 +466,34 @@ def test_non_finite_alpha_rejected(capsys, tmp_path):
         assert "field 'alpha': entries must be finite" in captured.err
 
 
+# an integer literal far beyond float64's largest finite value
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("field, fields", [
+    ("nu", f'"nu": [[{_HUGE}, 0], [0.25, 0.75]], "f": [[1, 0], [1, 0]]'),
+    ("f", f'"nu": [[0.5, 0.5], [0.25, 0.75]], "f": [[{_HUGE}, 0], [1, 0]]'),
+    ("alpha", f'"nu": [[0.5, 0.5], [0.25, 0.75]], "f": [[1, 0], [1, 0]], '
+              f'"alpha": [{_HUGE}, 0.8]'),
+])
+def test_integer_beyond_float64_rejected(capsys, tmp_path, field, fields):
+    path = tmp_path / "huge.json"
+    path.write_text('{"N": 2, "M": 2, ' + fields + "}\n")
+    assert main(["analytic", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qbandit: error: field '{field}': entries must fit in float64\n"
+
+
+def test_deeply_nested_instance_rejected(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["analytic", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qbandit: error: {path}: nested too deeply\n"
+
+
 def _failing_sweep(exc: Exception, after: int):
     """A sweep that yields `after` real runs, then raises exc."""
     real_sweep = cli.sweep
@@ -480,6 +525,156 @@ def test_failure_mid_table_leaves_no_output_file(monkeypatch, capsys, instance_p
     text = capsys.readouterr().out
     rows_written = text.count('"bad_amp": ') if fmt == "json" else text.count("\r\n") - 1
     assert rows_written == 3
+
+
+def _forked_blocks(monkeypatch):
+    """Two four-arm simulate rows per block, formatted by three processes."""
+    monkeypatch.setattr(cli, "BLOCK_CELLS", 14)
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+
+
+def _untimed(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if "timestamp" not in line)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("after", [2, 5, 8],
+                         ids=["before-the-fork", "mid-block", "at-a-block-edge"])
+def test_forked_table_keeps_the_rows_computed_before_a_failure(
+        monkeypatch, capsys, instance_path, tmp_path, fmt, after):
+    """A sweep failing after `after` rows: stdout holds exactly those rows, as
+    the whole table begins, the -o file is removed and no worker is left."""
+    _forked_blocks(monkeypatch)
+    argv = ["simulate", "--instance", instance_path, "--n", "10", "--format", fmt]
+    assert main(argv) == 0
+    whole = _untimed(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "sweep", _failing_sweep(ValueError("state norm is not 1"),
+                                                     after))
+    out = tmp_path / f"table.{fmt}"
+    assert main([*argv, "-o", str(out)]) == 1
+    assert not out.exists()
+    assert no_child_left()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "qbandit: error: state norm is not 1\n" * 2
+    part = _untimed(captured.out)
+    assert whole.startswith(part)
+    rows_written = part.count('"bad_amp": ') if fmt == "json" else part.count("\r\n") - 1
+    assert rows_written == after
+    assert no_child_left()
+
+
+def _raising(exc: BaseException):
+    def share(*args):
+        raise exc
+        yield
+    return share
+
+
+def _vanishing(*args):
+    os._exit(3)
+    yield
+
+
+@pytest.mark.parametrize("share, code, message", [
+    (_raising(ValueError("writer fault")), 1, "qbandit: error: writer fault"),
+    (_raising(InvariantViolation("drift")), 3, "qbandit: internal check failed: drift"),
+    (_vanishing, 1, "qbandit: error: a forked worker ended without a result"),
+], ids=["value-error", "invariant", "no-result"])
+def test_a_failing_writer_worker_exits_main_with_its_code(monkeypatch, capsys,
+                                                          instance_path, share, code,
+                                                          message):
+    """Block 1 is the first worker's: its failure reaches main after block 0."""
+    _forked_blocks(monkeypatch)
+    monkeypatch.setattr(cli, "_share", share)
+    assert main(["simulate", "--instance", instance_path, "--n", "10"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out.count("\r\n") - 1 == 2
+    assert no_child_left()
+
+
+def test_writer_workers_are_killed_when_the_parent_fails(monkeypatch, capsys,
+                                                         instance_path):
+    """The parent's rows failing stops and reaps the workers at once, rather
+    than waiting out their 30 s."""
+    _forked_blocks(monkeypatch)
+    share = cli._share
+
+    def slow(*args):
+        time.sleep(30)
+        yield from share(*args)
+
+    monkeypatch.setattr(cli, "_share", slow)
+    monkeypatch.setattr(cli, "sweep", _failing_sweep(ValueError("state norm is not 1"),
+                                                     after=3))
+    begin = time.perf_counter()
+    assert main(["simulate", "--instance", instance_path, "--n", "10"]) == 1
+    assert time.perf_counter() - begin < 10
+    assert capsys.readouterr().out.count("\r\n") - 1 == 3
+    assert no_child_left()
+
+
+def test_forked_table_shows_each_warning_once(instance_path):
+    """A warning raised while the rows are walked, after the workers are
+    forked, shows once: the workers walk the same rows and ignore it.  A
+    fresh interpreter, since a worker's stderr is its own only there."""
+    code = """if True:
+        import sys, warnings
+        from qbandit import cli
+        sweep = cli.sweep
+        def warning_sweep(ops, n_max):
+            for run in sweep(ops, n_max):
+                if run.n == 7:
+                    warnings.warn("step 7 warns")
+                yield run
+        cli.sweep, cli.BLOCK_CELLS, cli._cpus = warning_sweep, 14, lambda: 3
+        sys.exit(cli.main(sys.argv[1:]))
+    """
+    src = Path(qbandit.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code, "simulate", "--instance",
+                           instance_path, "--n", "10"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "qbandit: warning: step 7 warns\n")
+    # the column names and steps 0..10
+    assert len([line for line in done.stdout.splitlines() if not line.startswith("#")]) == 12
+
+
+_FINITE = st.one_of(
+    st.sampled_from([0, -7, 2**70, 10**400, -0.0, 1e16, 1e-5, 5e-324]),
+    st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+_ANY_CELL = st.one_of(
+    _FINITE,
+    st.sampled_from([True, False, math.nan, math.inf, -math.inf, None, np.float64(0.1)]),
+    st.text(alphabet=',"\n\r\\ a%θé∑', max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_writer_matches_reference_encoders(data):
+    """Tables of several 4-cell blocks, formatted by three processes, come out
+    as csv.writer and json.dumps write them, whatever each block holds: the
+    %r template where every cell is an int or a float (finite, for JSON),
+    the reference encoder elsewhere."""
+    width = data.draw(st.integers(1, 4))
+    cells = data.draw(st.sampled_from([_FINITE, _ANY_CELL]))
+    rows = data.draw(st.lists(st.tuples(*[cells] * width), max_size=12))
+    # keys sort as strings, and one holds a quote and a % sign
+    fieldnames = ["n", "p10", 'a"%', "p2"][:width]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "BLOCK_CELLS", 4)
+        patch.setattr(cli, "_cpus", lambda: 3)
+        buf = io.StringIO()
+        cli._write_json(buf, {"n_star": 1}, fieldnames, iter(rows))
+        payload = {"n_star": 1, "rows": [dict(zip(fieldnames, row)) for row in rows]}
+        assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        cli._write_rows(buf.write, iter(rows), width, cli._csv_block(width), "")
+        ref = io.StringIO()
+        csv.writer(ref).writerows(rows)
+        assert buf.getvalue() == ref.getvalue()
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("value", [

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from exact_ucbe import exact_error
-from helpers import four_arm_exact, write_instance
+from helpers import four_arm_exact, no_child_left, write_instance
 from qbandit import cli, ucbe
 from qbandit.bandits import BanditInstance, summarize
 from qbandit.errors import DegenerateInstance
@@ -296,14 +296,6 @@ def test_worker_count_leaves_the_estimate_unchanged(monkeypatch, seed, base, tri
     for workers in (2, 3, 5):
         assert ucbe._monte_carlo(inst, T, explore, trials, RngStream(seed, base),
                                  workers) == one
-
-
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 def fail_after_first_range(error: BaseException):
