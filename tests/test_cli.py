@@ -565,6 +565,23 @@ def test_forked_table_keeps_the_rows_computed_before_a_failure(
     assert no_child_left()
 
 
+def test_one_block_tables_never_fork(monkeypatch, capsys, instance_path):
+    """Workers are counted only once a second block is seen: not for the
+    one-row tables, nor for a table of exactly one full block (146 rows of
+    seven cells in 1024)."""
+    def no_workers():
+        pytest.fail("a one-block table asked for workers")
+    monkeypatch.setattr(cli, "_cpus", no_workers)
+    for argv in (["ucbe", "--instance", instance_path, "-T", "40", "--trials", "20"],
+                 ["compare", "--instance", instance_path],
+                 ["validate", "--instance", instance_path],
+                 ["scale", "--family", "two-tier", "--sizes", "4,8"],
+                 ["analytic", "--instance", instance_path, "--n", "145"]):
+        for fmt in ("csv", "json"):
+            assert main([*argv, "--format", fmt]) == 0, argv
+    assert capsys.readouterr().out.count('"p3": ') == 146
+
+
 def _raising(exc: BaseException):
     def share(*args):
         raise exc
