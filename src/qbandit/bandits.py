@@ -95,20 +95,23 @@ def arm_values(inst: BanditInstance) -> np.ndarray:
 def summarize(inst: BanditInstance) -> InstanceSummary:
     """Arm values, optimum, gaps and hardness.
 
-    Raises DegenerateInstance when a non-optimal arm ties the optimum exactly,
-    since the hardness sum diverges there.
+    Raises DegenerateInstance when the hardness sum is not finite in float64:
+    a non-optimal arm ties the optimum exactly, or trails it by a gap so
+    small that 1/gap^2 overflows.
     """
     a = arm_values(inst)
     x_star = int(np.argmax(a))
     # gaps of the non-optimal arms, in arm order
     gaps = np.delete(a[x_star] - a, x_star)
-    if np.any(gaps == 0.0):
-        raise DegenerateInstance(
-            "a non-optimal arm ties the optimum; gaps of zero make the "
-            "hardness sum diverge"
-        )
+    # a tie, or a gap below about 7e-155, squares to 0 or to a subnormal
+    # whose reciprocal is inf; a sum of finite terms can overflow too
+    with np.errstate(divide="ignore", over="ignore"):
+        h1 = float((1.0 / gaps ** 2).sum())
+    if not math.isfinite(h1):
+        raise DegenerateInstance(f"the smallest gap to the optimum is {gaps.min():.3g}, "
+                                 f"so the hardness sum of 1/gap^2 is not finite")
     a.setflags(write=False)
-    return InstanceSummary(a=a, x_star=x_star, h1=float((1.0 / gaps ** 2).sum()))
+    return InstanceSummary(a=a, x_star=x_star, h1=h1)
 
 
 def _check_distribution(p_rec: np.ndarray, n: int) -> np.ndarray:

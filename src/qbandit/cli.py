@@ -38,7 +38,7 @@ from .bandits import BanditInstance, summarize
 from .comparison import SIM_CAP, ComparisonReport, compare, scaling_experiment
 from .errors import DegenerateInstance, InvariantViolation, QbanditError
 from .instances import FAMILIES, load_instance
-from .qbai import (REFLECTIONS, ClosedForm, build_operators, cross_check,
+from .qbai import (REFLECTIONS, SIM_AGREE_TOL, ClosedForm, build_operators, cross_check,
                    success_probability, sweep)
 from .ucbe import (
     BONUS_VARIANTS,
@@ -118,6 +118,9 @@ def _analytic_rows(model: ClosedForm, n_max: int, block: int) -> Iterator[tuple]
 def _cmd_analytic(cfg: RunConfig):
     inst, alpha = load_instance(cfg.instance)
     model = success_probability(inst, alpha)
+    if cfg.n > (ceiling := model.step_ceiling()):
+        raise ValueError(f"--n {cfg.n} is above {ceiling}, the largest step count whose "
+                         f"phase (2n+1) theta float64 rounds within {SIM_AGREE_TOL}")
     rows = _analytic_rows(model, cfg.n, max(1, BLOCK_CELLS // inst.n_arms))
     extra = {"p_success": model.p, "n_star": model.n_star}
     return ["n", "amplified", "c_factor", *_arm_cols(inst)], rows, extra
@@ -260,15 +263,15 @@ def _json_block(fieldnames: list[str]) -> Callable[[list[tuple]], str]:
     return fmt
 
 
-def _share(worker: int, procs: int, block: list[tuple], rows: Iterator[tuple],
-           size: int, fmt: Callable[[list[tuple]], str]) -> Iterator[bytes]:
-    """Worker `worker`'s part of _write_rows: walking rows on from block, the
-    text of each block b with b mod procs == worker."""
+def _share(procs: int, block: list[tuple], rows: Iterator[tuple], size: int,
+           fmt: Callable[[list[tuple]], str]) -> Iterator[bytes]:
+    """A writer's part of _write_rows: walking rows on from the block it was
+    forked at, the text of the next block and of every procs-th one after."""
     # the parent walks the same rows and shows each warning once
     warnings.simplefilter("ignore")
     b = 0
     while block:
-        if b % procs == worker:
+        if b % procs == 1:
             yield fmt(block).encode(errors="surrogatepass")
         if len(block) < size:
             return
@@ -281,25 +284,29 @@ def _write_rows(write: Callable[[str], object], rows: Iterable[tuple], width: in
     """Write each block of rows as fmt(block), in order, with sep between
     blocks; return whether any row was written.
 
-    A block holds BLOCK_CELLS cells, or one row if a row is wider.  When a
-    second block follows the first, one process per CPU formats the table:
-    each walks rows, process b mod P formats block b, and this process writes
-    every block in order, reading the others' text from their pipes.  If rows
+    A block holds BLOCK_CELLS cells, or one row if a row is wider.  A table
+    of k blocks is formatted by min(k, P) processes, P the CPU count: each
+    walks rows, process b mod P formats block b, and this process writes
+    every block in order, reading the others' text from their pipes.
+    Process w > 0 is forked once a row past block w - 1 shows that block w
+    exists, so it formats block w while block w - 1 is formatted.  If rows
     raises, the rows read since the last block written are written, and the
     exception goes on.
     """
     size = max(1, BLOCK_CELLS // width)
     rows = iter(rows)
-    procs, b, block = 1, 0, []
+    # procs is 2, enough to look past block 0, until the first row past it
+    # has the CPUs counted; a one-block table never counts them
+    procs, b, block = 2, 0, []
     with Forked() as forked:
         try:
             block.extend(islice(rows, size))
-            if len(block) == size and (ahead := list(islice(rows, 1))):
-                rows = chain(ahead, rows)
-                procs = _cpus()
-                for worker in range(1, procs):
-                    forked.start(_share, worker, procs, block, rows, size, fmt)
             while block:
+                if len(block) == size and b + 1 < procs and (ahead := list(islice(rows, 1))):
+                    rows = chain(ahead, rows)
+                    procs = procs if b else _cpus()
+                    if b + 1 < procs:
+                        forked.start(_share, procs, block, rows, size, fmt)
                 owner = b % procs
                 done, block = block, []
                 text = (fmt(done) if owner == 0

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bandits import UNIT_TOL, BanditInstance, error_probability, summarize
 from .errors import DegenerateInstance
-from .qbai import cross_check, run_qbai, success_probability
+from .qbai import STEP_CEILING, cross_check, run_qbai, success_probability
 from .ucbe import ucbe_min_rounds
 
 SIM_CAP = 4096          # largest N*M the cross-checking simulation will touch
@@ -43,7 +43,8 @@ class ComparisonReport:
     budget applies, in which case t_classical and ratio are None too).
     simulated records whether state-vector simulation to n_star was
     cross-checked against the closed form, both the law and the rewarded
-    amplitude (instances above the cap are closed-form only).
+    amplitude (instances above the cap, or whose n_star is above the
+    simulator's STEP_CEILING, are closed-form only).
     """
 
     instance_id: str
@@ -104,7 +105,7 @@ def compare(
             "(non-uniform arm amplitudes can reorder the marginal)",
             stacklevel=2,
         )
-    simulated = n > 1 and n * m <= sim_cap
+    simulated = n > 1 and n * m <= sim_cap and n_star <= STEP_CEILING
     if simulated:
         cross_check(model, [run_qbai(inst, alpha, n_star)], p_rec[None, :])
     delta_matched = max(0.0, 1.0 - a[x_star] / (n * float(a.mean())))

@@ -11,8 +11,8 @@ class QbanditError(Exception):
 
 class DegenerateInstance(QbanditError):
     """The instance leaves nothing well defined to compute: a suboptimal arm
-    ties the optimum, no reward is reachable (p = 0), or the round budget is
-    below the arm count."""
+    ties the optimum or trails it by a gap whose 1/gap^2 overflows, no reward
+    is reachable (p = 0), or the round budget is below the arm count."""
 
 
 class InstanceFormatError(QbanditError):

@@ -142,7 +142,9 @@ def load_instance(path: str | Path) -> tuple[BanditInstance, np.ndarray | None]:
                  "field 'alpha': entries must be numbers")
         alpha = _floats(raw, "alpha")
         _require(bool(np.isfinite(alpha).all()), "field 'alpha': entries must be finite")
-        off = abs(float((alpha ** 2).sum()) - 1.0)
+        # an entry near the float64 limit squares to inf: off by inf, rejected
+        with np.errstate(over="ignore"):
+            off = abs(float((alpha ** 2).sum()) - 1.0)
         if off > RESCALE_TOL:
             raise InstanceFormatError(
                 f"field 'alpha': squared norm off by {off:.3e}, more than "

@@ -20,7 +20,7 @@ The two routes agreeing to ~1e-12 is the package's central cross-check, and
 `cross_check` is the one place that compares them.
 
 The simulator is one kernel.  `build_operators` computes its inputs once: the
-environment preparation W_env = G H as a `HouseholderPrep` (H one Householder
+reflectors H of the environment preparation W_env = G H (H one Householder
 reflector per arm and G one unit phase per arm, so that W_env maps arm x's
 |0> to sqrt(nu[x]), times random phases when asked), the agent amplitudes
 with G folded in, the oracle's sign array, the readout indices and the
@@ -32,10 +32,11 @@ for the tensor one, so no agent preparation is ever built.  G = diag(g) (x) I
 acts on the agent axis alone and H is block-diagonal in the arm, so G H = H G
 and G R_alpha G* = R_{g alpha}: the step W S W* = H R_{g alpha} H and the
 prepared state H (g alpha (x) e0) need g only through g alpha, which
-`build_operators` computes once.  One step, W S W* O, then updates a private
-outcome-major (M, N) amplitude buffer in place in O(N*M), in four stages:
-the oracle O multiplies rewarded pairs by -1, H follows, then the reflection
-about g alpha, then H again.  The buffer holds the true state throughout.
+`build_operators` computes once and keeps in place of g.  One step, W S W* O,
+then updates a private outcome-major (M, N) amplitude buffer in place in
+O(N*M), in four stages: the oracle O multiplies rewarded pairs by -1, H
+follows, then the reflection about g alpha, then H again.  The buffer holds
+the true state throughout.  No step runs past STEP_CEILING.
 The environment reflectors are stored the way the buffer is read, as an
 (M, N) array with arm x's reflector in column x.  The composite reflection
 W S W* = 2|psi0><psi0| - I depends on W only through W|0>, so any
@@ -75,6 +76,12 @@ from .errors import DegenerateInstance, InvariantViolation
 # largest deviation of the simulator from the closed form before the two
 # routes count as disagreeing
 SIM_AGREE_TOL = 1e-10
+# largest step count the simulator runs.  Its deviation from the closed form
+# grows as about n * eps: a 1024-arm instance at p = 1e-10 crossed
+# SIM_AGREE_TOL at n = 450 000 (about 1000 n eps) and deviates by 2.3e-11
+# at this ceiling.  Every step count up to it is also within the closed
+# form's own ceiling, ClosedForm.step_ceiling, since theta <= pi/2.
+STEP_CEILING = 100_000
 REFLECTIONS = ("composite", "tensor")
 # closed-form cells (runs x arms) cross_check evaluates per block
 CHECK_BLOCK_CELLS = 1 << 14
@@ -126,73 +133,28 @@ def marginal_over_y(s: StateVector) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HouseholderPrep:
-    """The environment preparation W_env = G H, one reflector per arm.
-
-    H = I - 2 u u* is Hermitian and runs along buffer axis 0: u is an (M, N)
-    array whose column x reflects the outcomes of arm x, and u_conj is its
-    conjugate, computed once so that no step recomputes it.  G multiplies arm
-    x's block by the unit factor phase[x], shape (N,); it acts on the agent
-    axis alone, so `build_operators` folds it into alpha and the kernel
-    applies H only.
-    """
-
-    u: np.ndarray
-    u_conj: np.ndarray
-    phase: np.ndarray
-
-    @classmethod
-    def from_columns(cls, columns: np.ndarray) -> HouseholderPrep:
-        """The preparation with W|0> = c for each row c of columns, normalized.
-
-        columns is an (N, M) stack of nonzero rows, as `build_operators` passes.
-
-        With gamma = -conj(c0)/|c0| (-1 when c0 = 0), v = e0 - gamma c and
-        u = v/|v|, the reflector maps e0 to gamma c, so g = conj(gamma)
-        restores c.  v0 = 1 + |c0| >= 1, so no column is a degenerate case.
-        Every u and g is unit up to rounding, so W is unitary up to rounding.
-        The norms are taken along contiguous rows, one reflector each, before
-        arm x's reflector is laid down column x of the buffer.
-
-        Everything is computed in the columns' own dtype: real columns give
-        float64 u and g = -sign(c0) exactly, any other columns complex128.
-        """
-        c = columns / np.linalg.norm(columns, axis=1)[:, None]
-        mag = np.abs(c[:, 0])
-        gamma = -np.ones_like(c[:, 0])
-        np.divide(-c[:, 0].conj(), mag, out=gamma, where=mag > 0)
-        v = -gamma[:, None] * c
-        v[:, 0] += 1.0
-        v /= np.linalg.norm(v, axis=1)[:, None]
-        u = np.ascontiguousarray(v.T)
-        arrays = (u, u.conj(), gamma.conj())
-        for a in arrays:
-            a.setflags(write=False)
-        return cls(*arrays)
-
-
-@dataclass(frozen=True)
 class QbaiOperators:
     """The kernel's inputs for one amplification setup, computed once.
 
     The preparation is W = W_env W_agent with W_env = G H.  A step needs
     W_agent only through its first column, the agent amplitudes, and G only
     through its product with them, so alpha (shape (N,), contiguous) holds
-    g alpha: each arm's amplitude times its environment phase g =
-    prep_env.phase.  On the real kernel every g is -1, so alpha is exactly
-    minus the agent amplitudes.  No agent reflector is held; prep_env holds
-    W_env as Householder reflectors with their conjugates and phases, O(N*M)
-    in all.  good is the (N, M) mask of rewarded pairs; sign holds the
-    oracle O's -1 on them and +1 elsewhere in the (M, N) buffer layout.
-    good_index and bad_index are the flat buffer positions of the rewarded
-    and the unrewarded pairs, in x-major order.  reflection names the anchor
+    g alpha: each arm's amplitude times its environment phase g.  On the
+    real kernel every g is -1, so alpha is exactly minus the agent
+    amplitudes.  No agent reflector and no phase is held.  u is the (M, N)
+    array of environment reflectors H = I - 2 u u*, arm x's in column x,
+    and u_conj its conjugate, computed once so that no step recomputes it;
+    on the real kernel it is u itself.  sign holds the oracle O's -1 on the
+    rewarded pairs and +1 elsewhere in the (M, N) buffer layout.  good_index
+    and bad_index are the flat buffer positions of the rewarded and the
+    unrewarded pairs, in x-major order.  reflection names the anchor
     reflection S about |00>: "composite" (2|00><00| - I) or "tensor"
     ((2|0><0| - I) on each axis).
     """
 
     alpha: np.ndarray
-    prep_env: HouseholderPrep
-    good: np.ndarray
+    u: np.ndarray
+    u_conj: np.ndarray
     sign: np.ndarray
     good_index: np.ndarray
     bad_index: np.ndarray
@@ -224,6 +186,14 @@ class ClosedForm:
         if np.any(n < 0):
             raise ValueError(f"step count must be non-negative, got {n.min()}")
         return (2 * n + 1) * self.theta
+
+    def step_ceiling(self) -> int:
+        """The largest n whose phase (2n+1) theta rounds within SIM_AGREE_TOL.
+
+        float64 rounds the phase with an error of about (2n+1) theta 2^-52,
+        which grows with n and moves the law by as much.
+        """
+        return math.floor((SIM_AGREE_TOL * 2.0**52 / self.theta - 1.0) / 2.0)
 
     def _squares(self, n):
         """sin^2 and cos^2 of (2n+1) theta.
@@ -259,9 +229,9 @@ class ClosedForm:
         if self.q == 0.0:
             return np.broadcast_to(self.w, np.shape(self._angle(n)) + self.w.shape).copy()
         s, c = self._squares(n)
-        good = self.w * self.a / self.p
-        bad = self.w * (1.0 - self.a) / self.q
-        return good * np.expand_dims(s, -1) + bad * np.expand_dims(c, -1)
+        hit = self.w * self.a / self.p
+        miss = self.w * (1.0 - self.a) / self.q
+        return hit * np.expand_dims(s, -1) + miss * np.expand_dims(c, -1)
 
 
 @dataclass(frozen=True)
@@ -293,6 +263,35 @@ def _prepare_alpha(inst: BanditInstance, alpha: np.ndarray | None) -> np.ndarray
         raise ValueError(f"alpha norm {float(norm)} is not 1 within {UNIT_TOL}")
     # exact unit norm, so the closed-form weights |alpha|^2 sum to 1
     return a / norm
+
+
+def _householder(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The environment preparation W_env = G H with W_env|0> = c for each row
+    c of columns, normalized, as (u, g).
+
+    columns is an (N, M) stack of nonzero rows, as `build_operators` passes.
+    H = I - 2 u u* runs along buffer axis 0: u is an (M, N) array whose
+    column x reflects the outcomes of arm x.  G multiplies arm x's block by
+    the unit factor g[x], shape (N,).
+
+    With gamma = -conj(c0)/|c0| (-1 when c0 = 0), v = e0 - gamma c and
+    u = v/|v|, the reflector maps e0 to gamma c, so g = conj(gamma)
+    restores c.  v0 = 1 + |c0| >= 1, so no column is a degenerate case.
+    Every u and g is unit up to rounding, so W_env is unitary up to rounding.
+    The norms are taken along contiguous rows, one reflector each, before
+    arm x's reflector is laid down column x of the buffer.
+
+    Everything is computed in the columns' own dtype: real columns give
+    float64 u and g = -sign(c0) exactly, any other columns complex128.
+    """
+    c = columns / np.linalg.norm(columns, axis=1)[:, None]
+    mag = np.abs(c[:, 0])
+    gamma = -np.ones_like(c[:, 0])
+    np.divide(-c[:, 0].conj(), mag, out=gamma, where=mag > 0)
+    v = -gamma[:, None] * c
+    v[:, 0] += 1.0
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return np.ascontiguousarray(v.T), gamma.conj()
 
 
 def build_operators(
@@ -327,26 +326,27 @@ def build_operators(
     elif not np.iscomplexobj(alpha):
         # every column is real, so the kernel runs in float64
         al, env_cols = al.real, env_cols.real
-    prep_env = HouseholderPrep.from_columns(env_cols)
+    u, g = _householder(env_cols)
     # the step and psi0 = H (g alpha (x) e0) need G only through g alpha
-    al = prep_env.phase * al
+    al = g * al
+    u_conj = u.conj()
     amps = np.zeros((m, n), dtype=al.dtype)
     amps[0] = al
-    _reflect_env(amps, prep_env, np.empty_like(amps))
-    good = inst.f == 1
+    _reflect_env(amps, u, u_conj, np.empty_like(amps))
+    rewarded = inst.f == 1
     # buffer position y * N + x of each pair, read in x-major order
     index = np.arange(m * n).reshape(m, n).T
     ops = QbaiOperators(
         alpha=al,
-        prep_env=prep_env,
-        good=good,
-        sign=np.ascontiguousarray(np.where(good.T, -1.0, 1.0)),
-        good_index=index[good],
-        bad_index=index[~good],
+        u=u,
+        u_conj=u_conj,
+        sign=np.ascontiguousarray(np.where(rewarded.T, -1.0, 1.0)),
+        good_index=index[rewarded],
+        bad_index=index[~rewarded],
         reflection=reflection,
         psi0_state=_state(amps),
     )
-    for a in (ops.alpha, ops.good, ops.sign, ops.good_index, ops.bad_index):
+    for a in (ops.alpha, ops.u, ops.u_conj, ops.sign, ops.good_index, ops.bad_index):
         a.setflags(write=False)
     return ops
 
@@ -378,17 +378,18 @@ def success_probability(
                       n_star=math.ceil(math.pi / (4.0 * theta) - 1.0))
 
 
-def _reflect_env(amps: np.ndarray, prep: HouseholderPrep, work: np.ndarray) -> None:
+def _reflect_env(amps: np.ndarray, u: np.ndarray, u_conj: np.ndarray,
+                 work: np.ndarray) -> None:
     """amps <- H amps in place on the (M, N) buffer, H = I - 2 u u* the
-    environment reflectors; H is its own inverse.
+    environment reflectors, u_conj the conjugate of u; H is its own inverse.
 
     work is an (M, N) scratch buffer.  The projection u* v of each arm sums
     its M terms across rows, elementwise.
     """
-    proj = np.multiply(amps, prep.u_conj, out=work).sum(axis=0, keepdims=True)
+    proj = np.multiply(amps, u_conj, out=work).sum(axis=0, keepdims=True)
     # u first: with fused multiply-adds a complex product rounds differently
     # when its operands swap
-    amps -= np.multiply(prep.u, 2.0 * proj, out=work)
+    amps -= np.multiply(u, 2.0 * proj, out=work)
 
 
 def _reflect_agent(
@@ -424,9 +425,9 @@ def _step(ops: QbaiOperators, amps: np.ndarray, work: np.ndarray) -> None:
     ops.alpha = g alpha.  Multiplying by +-1 changes no magnitude.
     """
     amps *= ops.sign
-    _reflect_env(amps, ops.prep_env, work)
+    _reflect_env(amps, ops.u, ops.u_conj, work)
     _reflect_agent(amps, ops.alpha, ops.reflection, work)
-    _reflect_env(amps, ops.prep_env, work)
+    _reflect_env(amps, ops.u, ops.u_conj, work)
 
 
 def _buffer(s: StateVector, dtype=None) -> np.ndarray:
@@ -482,18 +483,29 @@ def _readout(ops: QbaiOperators, n: int, amps: np.ndarray) -> QbaiRun:
     )
 
 
+def _check_steps(n: int) -> None:
+    if not 0 <= n <= STEP_CEILING:
+        raise ValueError(f"step count {n} is outside the simulator's range 0..{STEP_CEILING}")
+
+
 def sweep(ops: QbaiOperators, n_max: int) -> Iterator[QbaiRun]:
-    """The run after each of n = 0..n_max steps, without restarting the loop."""
-    for n, amps in _evolve(ops, n_max):
-        yield _readout(ops, n, amps)
+    """The run after each of n = 0..n_max steps, without restarting the loop.
+
+    n_max is checked here, before any step: a ValueError when it is negative
+    or above STEP_CEILING.
+    """
+    _check_steps(n_max)
+    return (_readout(ops, n, amps) for n, amps in _evolve(ops, n_max))
 
 
 def run_qbai(
     inst: BanditInstance, alpha: np.ndarray | None = None, n: int = 0
 ) -> QbaiRun:
-    """Simulate n amplification steps and read the run off the kernel's buffer."""
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+    """Simulate n amplification steps and read the run off the kernel's buffer.
+
+    Raises ValueError when n is negative or above STEP_CEILING.
+    """
+    _check_steps(n)
     ops = build_operators(inst, alpha)
     for _, amps in _evolve(ops, n):
         pass

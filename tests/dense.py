@@ -2,21 +2,24 @@
 their definitions.
 
 Each matrix is built from the fields of `QbaiOperators` (the agent
-amplitudes, the environment reflectors and phases, the reward mask, the
-reflection name), never through the in-place kernel, so multiplying by it is
-an independent route for checking the kernel.  The kernel holds no agent
-preparation and folds the environment phases G into alpha; `agent_matrix`
-completes alpha to its own Householder unitary, so `step_matrix` multiplies
-out W S W* with W = G H W_agent in full rather than trusting the reflection
-about g alpha that the kernel applies.  It is a test oracle, not a scalable
-path.
+amplitudes, the environment reflectors, the reflection name) and the
+instance's own reward mask, never through the in-place kernel, so
+multiplying by it is an independent route for checking the kernel.  The
+kernel holds no agent preparation and folds the environment phases G into
+alpha; `agent_matrix` completes alpha to its own Householder unitary, so
+`step_matrix` multiplies out W S W* with W = H W_agent in full rather than
+trusting the reflection about alpha that the kernel applies.  That W
+differs from the true G H W_agent(conj(g) alpha) but gives the same W S W*:
+G and H are both block-diagonal by arm, so they commute, and G W_agent(b)
+has first column g b, the first column of W_agent(g b).  It is a test
+oracle, not a scalable path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qbandit.qbai import HouseholderPrep, QbaiOperators
+from qbandit.qbai import QbaiOperators
 
 DENSIFY_CAP = 4096
 
@@ -33,22 +36,22 @@ def _reflector(u: np.ndarray) -> np.ndarray:
     return np.eye(u.size, dtype=np.complex128) - 2.0 * np.outer(u, u.conj())
 
 
-def reflectors(prep: HouseholderPrep, dims: tuple[int, int],
+def reflectors(u: np.ndarray, dims: tuple[int, int],
                cap: int = DENSIFY_CAP) -> np.ndarray:
     """H on the composite space of the given (N, M) dims: column x of the
-    reflectors reflects the y block of arm x."""
+    (M, N) reflectors u reflects the y block of arm x."""
     n, m = dims
     d = _size(dims, cap)
     out = np.zeros((d, d), dtype=np.complex128)
     for x in range(n):
-        out[x * m:(x + 1) * m, x * m:(x + 1) * m] = _reflector(prep.u[:, x])
+        out[x * m:(x + 1) * m, x * m:(x + 1) * m] = _reflector(u[:, x])
     return out
 
 
-def densify(prep: HouseholderPrep, dims: tuple[int, int],
+def densify(u: np.ndarray, g: np.ndarray, dims: tuple[int, int],
             cap: int = DENSIFY_CAP) -> np.ndarray:
     """W_env = G H: arm x's block of H times its phase g_x."""
-    return np.repeat(prep.phase, dims[1])[:, None] * reflectors(prep, dims, cap)
+    return np.repeat(g, dims[1])[:, None] * reflectors(u, dims, cap)
 
 
 def agent_matrix(alpha: np.ndarray, dims: tuple[int, int],
@@ -87,12 +90,12 @@ def anchor_matrix(dims: tuple[int, int], reflection: str) -> np.ndarray:
     return np.kron(sx, sy)
 
 
-def step_matrix(ops: QbaiOperators, cap: int = DENSIFY_CAP) -> np.ndarray:
-    """W S W* O, with W = W_env W_agent and W_agent completing the agent
-    amplitudes conj(g) ops.alpha."""
+def step_matrix(ops: QbaiOperators, good: np.ndarray,
+                cap: int = DENSIFY_CAP) -> np.ndarray:
+    """W S W* O, with W = H W_agent, W_agent completing ops.alpha, and O the
+    sign of the (N, M) reward mask good."""
     dims = ops.psi0_state.dims
     _size(dims, cap)
-    alpha = ops.prep_env.phase.conj() * ops.alpha
-    w = densify(ops.prep_env, dims, cap) @ agent_matrix(alpha, dims, cap)
+    w = reflectors(ops.u, dims, cap) @ agent_matrix(ops.alpha, dims, cap)
     s = anchor_matrix(dims, ops.reflection)
-    return w @ s @ w.conj().T @ oracle_matrix(ops.good)
+    return w @ s @ w.conj().T @ oracle_matrix(good)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import io
@@ -23,14 +24,15 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import no_child_left, perturb_compare_runs, write_instance
 import qbandit
-from qbandit import cli
+from qbandit import cli, qbai
 from qbandit.bandits import BanditInstance
 from qbandit.cli import main
 from qbandit.comparison import compare
 from qbandit.errors import (DegenerateInstance, InstanceFormatError, InvariantViolation,
                             QbanditError)
-from qbandit.instances import bernoulli_instance, load_instance
-from qbandit.qbai import build_operators, cross_check, success_probability, sweep
+from qbandit.instances import FAMILIES, bernoulli_instance, load_instance
+from qbandit.qbai import (REFLECTIONS, SIM_AGREE_TOL, STEP_CEILING, build_operators,
+                          cross_check, success_probability, sweep)
 
 
 @pytest.fixture()
@@ -127,6 +129,77 @@ def test_scale_sizes_above_the_ceiling_are_rejected(capsys):
     assert out == ""
     assert "ceiling 1048576" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_step_counts_above_the_simulator_ceiling_are_rejected(capsys, instance_path,
+                                                              command):
+    """One step past STEP_CEILING exits 1, naming the ceiling, before any row."""
+    argv = [command, "--instance", instance_path, "--n", str(STEP_CEILING + 1)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"qbandit: error: step count {STEP_CEILING + 1} is outside "
+                            f"the simulator's range 0..{STEP_CEILING}\n")
+
+
+def test_compare_on_a_tiny_p_instance_returns_without_simulating(capsys, tmp_path):
+    """Arm values {1e-100, 0}: p = 5e-101 and n_star is about 1.1e50, far
+    above STEP_CEILING, so compare reports the closed form alone, at once,
+    although N*M = 4 is under the default --sim-cap."""
+    path = tmp_path / "tiny-p.json"
+    write_instance(path, bernoulli_instance([1e-100, 0.0]))
+    begin = time.perf_counter()
+    _, rows = run_csv(capsys, ["compare", "--instance", str(path)])
+    assert time.perf_counter() - begin < 1.0
+    assert int(rows[0]["n_star"]) > 10**49
+    assert not compare(*load_instance(str(path))).simulated
+
+
+def test_analytic_steps_above_the_phase_ceiling_are_rejected(monkeypatch, capsys,
+                                                            instance_path):
+    """analytic accepts n up to the largest step count whose phase rounding
+    bound (2n+1) theta 2^-52 stays within SIM_AGREE_TOL, and exits 1 above
+    it, naming it, before any row; 10**20 used to stream without end."""
+    model = success_probability(*load_instance(instance_path))
+    top = model.step_ceiling()
+    eps = 2.0**-52
+    assert (2 * top + 1) * model.theta * eps <= SIM_AGREE_TOL
+    assert (2 * top + 3) * model.theta * eps > SIM_AGREE_TOL
+    # the README's four-arm --n 300000 and CI's two-arm --n 200000 stay accepted
+    assert top >= 300_000
+    assert success_probability(bernoulli_instance([0.5, 0.25])).step_ceiling() >= 200_000
+    argv = ["analytic", "--instance", instance_path]
+    begin = time.perf_counter()
+    assert main([*argv, "--n", str(10**20)]) == 1
+    assert time.perf_counter() - begin < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"qbandit: error: --n {10**20} is above {top}, ")
+    # the same bound, tightened so that the ceiling is a short table
+    monkeypatch.setattr(qbai, "SIM_AGREE_TOL", 1e-13)
+    top = model.step_ceiling()
+    assert 100 < top < 1000
+    _, rows = run_csv(capsys, [*argv, "--n", str(top)])
+    assert len(rows) == top + 1
+    assert main([*argv, "--n", str(top + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"is above {top}, " in captured.err
+
+
+@pytest.mark.parametrize("value", [5e-324, 1e-200])
+def test_gap_whose_hardness_leaves_float64_is_degenerate(capsys, tmp_path, value):
+    """A gap this small makes 1 / gap^2 overflow: ucbe exits 2, with no
+    RuntimeWarning on the way, as compare does on the same file."""
+    path = tmp_path / "tiny-gap.json"
+    write_instance(path, bernoulli_instance([value, 0.0]))
+    for argv in (["ucbe", "-T", "20", "--trials", "5"], ["compare"]):
+        assert main([*argv, "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qbandit: degenerate instance: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_simulate_table(capsys, instance_path):
@@ -466,6 +539,19 @@ def test_non_finite_alpha_rejected(capsys, tmp_path):
         assert "field 'alpha': entries must be finite" in captured.err
 
 
+def test_alpha_whose_square_overflows_rejected(capsys, tmp_path):
+    """1e308 squares to inf: the file is rejected for its norm, with no
+    RuntimeWarning on the way (the suite would raise it)."""
+    path = tmp_path / "huge-alpha.json"
+    path.write_text('{"N": 2, "M": 2, "nu": [[0.5, 0.5], [0.25, 0.75]], '
+                    '"f": [[1, 0], [1, 0]], "alpha": [0.7, 1e308]}\n')
+    assert main(["analytic", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qbandit: error: field 'alpha': squared norm off by inf, "
+                            "more than 1e-06\n")
+
+
 # an integer literal far beyond float64's largest finite value
 _HUGE = "1" + "0" * 400
 
@@ -492,6 +578,114 @@ def test_deeply_nested_instance_rejected(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"qbandit: error: {path}: nested too deeply\n"
+
+
+# file entries from the edges of float64 and of the JSON types
+_EDGE_VALUES = [0, 1, 0.5, 0.25, -0.0, 5e-324, 1e-310, 1e-200, 1e-100, 1e-17,
+                1 - 2**-53, 1e308, 2**70, 10**400, -1, math.nan, math.inf]
+# arm values and amplitudes that keep n_star, and so a cross-check, short
+_PLAIN_VALUES = [0.0, 0.25, 0.5, 1.0]
+_PLAIN_ALPHA = [0.0, 1.0, 0.6, 0.8, 2**-0.5]
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                  st.lists(st.integers(0, 1), max_size=2))
+_FLOAT_ARGS = ["0", "-1", "1", "0.05", "2", "5e-324", "1e-300", "1e308", "nan", "inf",
+               "-inf"]
+# run-time counts stay small; 2^31 and 2^63 only where a ceiling stops them
+_SMALL_COUNTS = st.sampled_from(["0", "1", "2", "5"])
+_ANY_COUNTS = st.sampled_from(["0", "1", "2", "5", str(2**31), str(2**63)])
+
+
+@st.composite
+def _instance_text(draw, plain: bool) -> str:
+    """An instance file's text: Bernoulli arms at edge values, a table of
+    edge and junk cells, or text that is no instance at all."""
+    n = draw(st.integers(1, 3))
+    kind = "bernoulli" if plain else draw(st.sampled_from(["bernoulli", "bernoulli",
+                                                            "table", "text"]))
+    if kind == "text":
+        return draw(st.sampled_from(["", "[]", "{", "null", '"x"', "[[[[1]]]]",
+                                     '{"N": 1}', "NaN"]))
+    if kind == "bernoulli":
+        values = draw(st.lists(st.sampled_from(_PLAIN_VALUES if plain else _EDGE_VALUES),
+                               min_size=n, max_size=n))
+        m, nu, f = 2, [[v, 1 - v] for v in values], [[1, 0]] * n
+    else:
+        m = draw(st.integers(1, 3))
+        cell = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(0, 1), _JUNK)
+        row = st.lists(cell, min_size=m - 1, max_size=m + 1)
+        nu = draw(st.lists(row, min_size=n, max_size=n + 1))
+        bit = st.one_of(st.sampled_from([0, 1, 1, 2, -0.0, 0.5, True]), _JUNK)
+        f = draw(st.lists(st.lists(bit, min_size=m, max_size=m), min_size=n, max_size=n))
+    data = {"N": n, "M": m, "nu": nu, "f": f}
+    if draw(st.integers(0, 3)) == 3:
+        entry = st.sampled_from(_PLAIN_ALPHA if plain else _EDGE_VALUES + _PLAIN_ALPHA)
+        data["alpha"] = draw(st.lists(entry, min_size=n, max_size=n if plain else n + 1))
+    if not plain and draw(st.integers(0, 5)) == 5:
+        del data[draw(st.sampled_from(sorted(data)))]
+    return json.dumps(data)
+
+
+@st.composite
+def _run(draw) -> tuple[str | None, list[str]]:
+    """An instance text (None for scale) and the argv to run on it."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    # the cross-check runs only on instances whose n_star is a few steps
+    check = command in ("compare", "scale") and draw(st.booleans())
+    argv = [command, "--seed", draw(_ANY_COUNTS),
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+    if command in ("simulate", "validate"):
+        argv += ["--n", draw(_ANY_COUNTS),
+                 "--reflection", draw(st.sampled_from(REFLECTIONS)),
+                 "--phases", draw(st.sampled_from(["real", "random"]))]
+    elif command == "analytic":
+        argv += ["--n", draw(_SMALL_COUNTS)]
+    elif command == "ucbe":
+        argv += ["-T", draw(st.sampled_from(["30", "3", "1", "0"])),
+                 "--trials", draw(st.sampled_from(["7", "1", "0", "-1"])),
+                 "--bonus", draw(st.sampled_from(["per-arm", "printed"]))]
+        for flag in ("--explore", "--delta"):
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(_FLOAT_ARGS))]
+    else:
+        argv += ["--sim-cap", "4096" if check else "0"]
+    if command == "scale":
+        argv += ["--family", draw(st.sampled_from(sorted(FAMILIES))),
+                 "--sizes", draw(st.sampled_from(["1", "0,2", "1,2,4", "4,8", "-3", "x",
+                                                  "4,2000000"]))]
+        return None, argv
+    return draw(_instance_text(plain=check)), argv
+
+
+_MESSAGE = re.compile(r"qbandit: (error|degenerate instance|internal check failed): ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_run())
+def test_every_run_ends_in_a_documented_exit_code(tmp_path_factory, run):
+    """main on drawn instance files and argv, in process: the code is 0, 1, 2
+    or 3; no traceback; stderr holds `qbandit: warning:` lines and, on a
+    failure, one `qbandit:` error line (after argparse's usage, for a bad
+    flag).  The suite turns a RuntimeWarning into an error, so a numeric
+    warning inside a run fails here too."""
+    text, argv = run
+    if text is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+        path.write_text(text)
+        argv = [*argv, "--instance", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), (argv, text, code)
+    assert "Traceback" not in err.getvalue()
+    rest = [line for line in lines if not line.startswith("qbandit: warning: ")]
+    if code == 0:
+        assert rest == [] and out.getvalue(), (argv, text, lines)
+    elif rest and rest[0].startswith("usage: "):
+        assert code == 1 and re.match(r"qbandit( \w+)?: error: ", rest[-1]), (argv, lines)
+    else:
+        assert len(rest) == 1 and _MESSAGE.match(rest[0]), (argv, text, lines)
+    assert no_child_left()
 
 
 def _failing_sweep(exc: Exception, after: int):
@@ -580,6 +774,31 @@ def test_one_block_tables_never_fork(monkeypatch, capsys, instance_path):
         for fmt in ("csv", "json"):
             assert main([*argv, "--format", fmt]) == 0, argv
     assert capsys.readouterr().out.count('"p3": ') == 146
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n, blocks", [(146, 2), (291, 2), (292, 3)])
+def test_a_table_forks_one_writer_per_block_past_the_first(monkeypatch, capsys,
+                                                           instance_path, fmt, n, blocks):
+    """With 8 CPUs a table of k blocks (146 rows of seven cells in 1024)
+    forks k - 1 writers, not 7, and writes the bytes one process writes."""
+    argv = ["analytic", "--instance", instance_path, "--n", str(n), "--format", fmt]
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    assert main(argv) == 0
+    alone = _untimed(capsys.readouterr().out)
+    started = []
+    start = cli.Forked.start
+
+    def counted(self, work, *args):
+        started.append(work)
+        start(self, work, *args)
+
+    monkeypatch.setattr(cli.Forked, "start", counted)
+    monkeypatch.setattr(cli, "_cpus", lambda: 8)
+    assert main(argv) == 0
+    assert _untimed(capsys.readouterr().out) == alone
+    assert len(started) == blocks - 1
+    assert no_child_left()
 
 
 def _raising(exc: BaseException):

@@ -15,9 +15,9 @@ from helpers import random_instance, variant_run
 from qbandit.bandits import BanditInstance
 from qbandit.qbai import (
     REFLECTIONS,
-    HouseholderPrep,
     StateVector,
     _buffer,
+    _householder,
     _reflect_agent,
     _reflect_env,
     build_operators,
@@ -62,13 +62,14 @@ def random_stage(rng: np.random.Generator, dims: tuple[int, int], kind: str):
     n, m = dims
     if kind == "oracle":
         # the sign is Hermitian too; _step multiplies the buffer by it
-        ops = build_operators(BanditInstance(nu=rng.dirichlet(np.ones(m), size=n),
-                                             f=(rng.random((n, m)) < 0.5).astype(int)))
-        return (lambda amps: np.multiply(amps, ops.sign, out=amps)), oracle_matrix(ops.good)
+        inst = BanditInstance(nu=rng.dirichlet(np.ones(m), size=n),
+                              f=(rng.random((n, m)) < 0.5).astype(int))
+        ops = build_operators(inst)
+        return (lambda amps: np.multiply(amps, ops.sign, out=amps)), oracle_matrix(inst.f == 1)
     if kind == "env":
-        prep = HouseholderPrep.from_columns(random_columns(rng, (n, m)))
-        return (lambda amps: _reflect_env(amps, prep, np.empty_like(amps)),
-                reflectors(prep, dims))
+        u, _ = _householder(random_columns(rng, (n, m)))
+        return (lambda amps: _reflect_env(amps, u, u.conj(), np.empty_like(amps)),
+                reflectors(u, dims))
     alpha = unit(random_columns(rng, (1, n))[0])
     return agent_stage(alpha, kind), reflection_matrix(alpha, dims, kind)
 
@@ -104,9 +105,9 @@ def test_diagonal_sign_flips_masked_entries():
     mask = np.array([[True, False], [False, True]])
     inst = BanditInstance(nu=np.array([[0.5, 0.5], [0.25, 0.75]]), f=mask.astype(int))
     ops = build_operators(inst)
-    assert np.array_equal(ops.good, mask)
+    assert np.array_equal(ops.sign, np.where(mask.T, -1.0, 1.0))
     s = StateVector((2, 2), np.full(4, 0.5))
-    reflect = step_matrix(ops) @ oracle_matrix(ops.good)
+    reflect = step_matrix(ops, mask) @ oracle_matrix(mask)
     flipped = reflect @ grover_step(ops, s).amps
     assert np.abs(flipped - np.array([-0.5, 0.5, 0.5, -0.5])).max() <= 1e-12
 
@@ -170,7 +171,7 @@ def test_apply_matches_densify(seed):
         ops = build_operators(inst, alpha, reflection=STAGES[2 + seed // 10],
                               phase_rng=phase_rng)
         s = random_state(rng, ops.psi0_state.dims)
-        direct, dense = grover_step(ops, s).amps, step_matrix(ops) @ s.amps
+        direct, dense = grover_step(ops, s).amps, step_matrix(ops, inst.f == 1) @ s.amps
     else:
         dims = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         stage, matrix = random_stage(rng, dims, STAGES[seed % 5])
@@ -246,10 +247,10 @@ def test_dims_mismatch_raises():
 
 
 def test_densify_cap():
-    prep = HouseholderPrep.from_columns(np.ones((10, 10)))
+    u, g = _householder(np.ones((10, 10)))
     with pytest.raises(ValueError, match="cap"):
-        densify(prep, (10, 10), cap=99)
-    assert densify(prep, (10, 10), cap=100).shape == (100, 100)
+        densify(u, g, (10, 10), cap=99)
+    assert densify(u, g, (10, 10), cap=100).shape == (100, 100)
 
 
 def test_marginal_over_y():

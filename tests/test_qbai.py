@@ -19,7 +19,7 @@ from qbandit.instances import bernoulli_instance, one_good_arm
 from qbandit.qbai import (
     CHECK_BLOCK_CELLS,
     SIM_AGREE_TOL,
-    HouseholderPrep,
+    _householder,
     analytic_recommendation,
     build_operators,
     cross_check,
@@ -36,7 +36,7 @@ def completion(column: np.ndarray) -> np.ndarray:
     """Dense W of the Householder preparation whose first column is column:
     the environment preparation of one arm with len(column) outcomes."""
     c = np.asarray(column, dtype=complex)
-    return densify(HouseholderPrep.from_columns(c[None, :]), (1, c.size))
+    return densify(*_householder(c[None, :]), (1, c.size))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -79,7 +79,7 @@ def test_complete_unitary_edge_columns(column):
     assert np.abs(u.conj().T @ u - np.eye(c.size)).max() <= 1e-12
     # the same columns as environment blocks, several arms at once
     stack = np.stack([c, c[::-1]])
-    env = densify(HouseholderPrep.from_columns(stack), (2, c.size))
+    env = densify(*_householder(stack), (2, c.size))
     assert np.abs(env[:c.size, 0] - c).max() <= 1e-14
     assert np.abs(env[c.size:, c.size] - c[::-1]).max() <= 1e-14
     assert np.abs(env.conj().T @ env - np.eye(2 * c.size)).max() <= 1e-12
@@ -93,7 +93,7 @@ def test_build_operators_prepared_state():
     al = np.full(inst.n_arms, 1.0 / math.sqrt(inst.n_arms)) if alpha is None else alpha
     expected = (al[:, None] * np.sqrt(inst.nu)).reshape(-1)
     assert np.abs(ops.psi0_state.amps - expected).max() <= 1e-12
-    assert np.array_equal(ops.good, inst.f == 1)
+    assert np.array_equal(ops.sign, np.where(inst.f.T == 1, -1.0, 1.0))
     assert ops.reflection == "composite"
     tensor = build_operators(inst, alpha, reflection="tensor")
     assert tensor.reflection == "tensor"
@@ -110,21 +110,24 @@ def test_reflectors_are_stored_along_the_buffer():
     ops = build_operators(inst, alpha)
     assert ops.alpha.shape == (n,) and ops.alpha.flags.c_contiguous
     assert abs(np.linalg.norm(ops.alpha) - 1.0) <= 1e-14
-    prep = ops.prep_env
-    assert prep.u.shape == prep.u_conj.shape == (m, n)
-    assert prep.phase.shape == (n,)
-    assert prep.u.flags.c_contiguous and prep.u_conj.flags.c_contiguous
-    assert np.abs(np.linalg.norm(prep.u, axis=0) - 1.0).max() <= 1e-14
-    assert np.abs(np.abs(prep.phase) - 1.0).max() <= 1e-14
+    assert ops.u.shape == ops.u_conj.shape == (m, n)
+    assert ops.u.flags.c_contiguous and ops.u_conj.flags.c_contiguous
+    assert np.array_equal(ops.u_conj, ops.u.conj())
+    assert np.abs(np.linalg.norm(ops.u, axis=0) - 1.0).max() <= 1e-14
+    # the phases build_operators folds into alpha, from the instance's columns
+    _, g = _householder(np.sqrt(inst.nu))
+    assert g.shape == (n,)
+    assert np.abs(np.abs(g) - 1.0).max() <= 1e-14
     assert ops.sign.shape == (m, n) and ops.sign.flags.c_contiguous
     assert np.array_equal(ops.sign, np.where(inst.f.T == 1, -1.0, 1.0))
     flat = np.arange(m * n).reshape(m, n).T.reshape(-1)
-    assert np.array_equal(ops.good_index, flat[ops.good.reshape(-1)])
-    assert np.array_equal(ops.bad_index, flat[~ops.good.reshape(-1)])
+    good = (inst.f == 1).reshape(-1)
+    assert np.array_equal(ops.good_index, flat[good])
+    assert np.array_equal(ops.bad_index, flat[~good])
     # column x of the environment reflectors belongs to arm x
     arm = int(rng.integers(n))
     alone = build_operators(BanditInstance(nu=inst.nu[arm:arm + 1], f=inst.f[arm:arm + 1]))
-    assert np.array_equal(ops.prep_env.u[:, arm], alone.prep_env.u[:, 0])
+    assert np.array_equal(ops.u[:, arm], alone.u[:, 0])
 
 
 def test_build_operators_validation():
@@ -165,7 +168,7 @@ def test_prepared_state_carries_the_environment_phases(complex_alpha):
     psi0 = ops.psi0_state.amps
     assert np.abs(psi0 - want.reshape(-1)).max() <= 1e-15
     stepped = grover_step(ops, ops.psi0_state).amps
-    assert np.abs(stepped - step_matrix(ops) @ psi0).max() <= 1e-12
+    assert np.abs(stepped - step_matrix(ops, inst.f == 1) @ psi0).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -178,10 +181,12 @@ def test_real_kernel_phases_are_exactly_minus_one(seed):
     inst = BanditInstance(nu=rng.dirichlet(np.ones(16), size=256),
                           f=(rng.random((256, 16)) < 0.1).astype(int))
     signs = np.where(rng.random(256) < 0.5, -1.0, 1.0) / 16
+    _, g = _householder(np.sqrt(inst.nu))
+    assert g.dtype == np.float64
+    assert np.array_equal(g, np.full(256, -1.0))
     for alpha, want in ((None, np.full(256, 1 / 16)), (signs, signs)):
         ops = build_operators(inst, alpha)
-        assert ops.prep_env.phase.dtype == ops.alpha.dtype == np.float64
-        assert np.array_equal(ops.prep_env.phase, np.full(256, -1.0))
+        assert ops.alpha.dtype == np.float64
         assert ops.alpha.tobytes() == (-want).tobytes()
 
 
@@ -193,7 +198,7 @@ def test_grover_step_matches_dense_reflection(seed):
     phase_rng = RngStream(seed).generator() if seed % 2 else None
     ops = build_operators(inst, alpha, phase_rng=phase_rng)
     psi0 = ops.psi0_state.amps
-    step = (2.0 * np.outer(psi0, psi0.conj()) - np.eye(psi0.size)) @ oracle_matrix(ops.good)
+    step = (2.0 * np.outer(psi0, psi0.conj()) - np.eye(psi0.size)) @ oracle_matrix(inst.f == 1)
     state = ops.psi0_state
     dense = psi0
     for _ in range(20):
@@ -213,7 +218,7 @@ def test_tensor_and_random_phase_steps_match_dense_oracle(seed):
     reflection = ("composite", "tensor")[seed % 2]
     phase_rng = RngStream(seed).generator() if seed % 3 else None
     ops = build_operators(inst, alpha, reflection=reflection, phase_rng=phase_rng)
-    step = step_matrix(ops)
+    step = step_matrix(ops, inst.f == 1)
     state = ops.psi0_state
     dense = state.amps
     for _ in range(20):
@@ -558,7 +563,7 @@ def test_readout_matches_the_state_bit_for_bit(m, real):
         alpha = rng.normal(size=5) + 1j * rng.normal(size=5)
         ops = build_operators(inst, alpha / np.linalg.norm(alpha),
                               phase_rng=RngStream(m).generator())
-    good = ops.good.reshape(-1)
+    good = (inst.f == 1).reshape(-1)
     state = ops.psi0_state
     assert state.amps.dtype == (np.float64 if real else np.complex128)
     for run in sweep(ops, 6):
@@ -594,8 +599,7 @@ def test_simulator_matches_high_precision_law_at_65536_arms():
 
 
 def _prep_dtypes(ops) -> set:
-    prep = ops.prep_env
-    return {a.dtype for a in (ops.alpha, prep.u, prep.u_conj, prep.phase)}
+    return {a.dtype for a in (ops.alpha, ops.u, ops.u_conj)}
 
 
 def test_operator_dtype_follows_alpha_and_phases():
@@ -617,17 +621,13 @@ def test_operator_dtype_follows_alpha_and_phases():
 
 
 def _as_complex(ops):
-    """The same operators with alpha, every reflector and phase, and the
-    prepared state, cast to complex128: the kernel's dtype is the prepared
-    state's."""
-    prep = ops.prep_env
+    """The same operators with alpha, every reflector and the prepared
+    state cast to complex128: the kernel's dtype is the prepared state's."""
     psi0 = ops.psi0_state
-    return dataclasses.replace(ops, alpha=ops.alpha.astype(np.complex128),
-                               prep_env=dataclasses.replace(prep, **{
-                                   name: getattr(prep, name).astype(np.complex128)
-                                   for name in ("u", "u_conj", "phase")}),
-                               psi0_state=dataclasses.replace(
-                                   psi0, amps=psi0.amps.astype(np.complex128)))
+    return dataclasses.replace(ops, **{
+        name: getattr(ops, name).astype(np.complex128)
+        for name in ("alpha", "u", "u_conj")},
+        psi0_state=dataclasses.replace(psi0, amps=psi0.amps.astype(np.complex128)))
 
 
 @pytest.mark.parametrize("seed", range(8))
