@@ -121,9 +121,13 @@ def _cmd_analytic(cfg: RunConfig):
     if cfg.n > (ceiling := model.step_ceiling()):
         raise ValueError(f"--n {cfg.n} is above {ceiling}, the largest step count whose "
                          f"phase (2n+1) theta float64 rounds within {SIM_AGREE_TOL}")
+    fieldnames = ["n", "amplified", "c_factor", *_arm_cols(inst)]
+    if (cells := (cfg.n + 1) * len(fieldnames)) > TABLE_CELL_CEILING:
+        raise ValueError(f"--n {cfg.n} makes a table of {cells} cells, above the "
+                         f"ceiling {TABLE_CELL_CEILING} (rows x columns)")
     rows = _analytic_rows(model, cfg.n, max(1, BLOCK_CELLS // inst.n_arms))
     extra = {"p_success": model.p, "n_star": model.n_star}
-    return ["n", "amplified", "c_factor", *_arm_cols(inst)], rows, extra
+    return fieldnames, rows, extra
 
 
 def _cmd_ucbe(cfg: RunConfig):
@@ -381,6 +385,16 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
 
+    # argparse reads only -N and -N.N as negative numbers; any other token
+    # float() parses (-1e5, -inf, -nan) is also a value, for the option's
+    # own check to accept or reject
+    def _parse_optional(self, arg_string: str):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
     # argparse exits 2 on bad flags by default; 2 means "degenerate instance" here
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -400,6 +414,11 @@ def _count_arg(text: str) -> int:
 
 # largest arm count scale accepts; a run's memory grows with N
 SIZE_CEILING = 1 << 20
+# largest analytic table, in cells (rows x columns).  A table streams at
+# about 1-1.8 s per million cells on a 2-vCPU VM and takes 10-17 bytes a
+# cell in CSV, 28-35 in JSON, so one at the ceiling runs for 35-60 s and
+# writes 0.35-1.2 GB.
+TABLE_CELL_CEILING = 1 << 25
 
 
 def _sizes_arg(text: str) -> tuple[int, ...]:

@@ -107,7 +107,7 @@ def compare(
         )
     simulated = n > 1 and n * m <= sim_cap and n_star <= STEP_CEILING
     if simulated:
-        cross_check(model, [run_qbai(inst, alpha, n_star)], p_rec[None, :])
+        cross_check(model, [run_qbai(inst, alpha, n_star)])
     delta_matched = max(0.0, 1.0 - a[x_star] / (n * float(a.mean())))
     delta_classical: float | None = None
     t_classical: int | None = None

@@ -35,8 +35,10 @@ prepared state H (g alpha (x) e0) need g only through g alpha, which
 `build_operators` computes once and keeps in place of g.  One step, W S W* O,
 then updates a private outcome-major (M, N) amplitude buffer in place in
 O(N*M), in four stages: the oracle O multiplies rewarded pairs by -1, H
-follows, then the reflection about g alpha, then H again.  The buffer holds
-the true state throughout.  No step runs past STEP_CEILING.
+follows, then the reflection about g alpha, then H again.  The three
+reflections are one Householder update, `_reflect`, along the environment
+axis for H and the agent axis for g alpha.  The buffer holds the true state
+throughout.  No step runs past STEP_CEILING.
 The environment reflectors are stored the way the buffer is read, as an
 (M, N) array with arm x's reflector in column x.  The composite reflection
 W S W* = 2|psi0><psi0| - I depends on W only through W|0>, so any
@@ -332,7 +334,7 @@ def build_operators(
     u_conj = u.conj()
     amps = np.zeros((m, n), dtype=al.dtype)
     amps[0] = al
-    _reflect_env(amps, u, u_conj, np.empty_like(amps))
+    _reflect(amps, u, u_conj, 0, np.empty_like(amps))
     rewarded = inst.f == 1
     # buffer position y * N + x of each pair, read in x-major order
     index = np.arange(m * n).reshape(m, n).T
@@ -378,18 +380,21 @@ def success_probability(
                       n_star=math.ceil(math.pi / (4.0 * theta) - 1.0))
 
 
-def _reflect_env(amps: np.ndarray, u: np.ndarray, u_conj: np.ndarray,
-                 work: np.ndarray) -> None:
-    """amps <- H amps in place on the (M, N) buffer, H = I - 2 u u* the
-    environment reflectors, u_conj the conjugate of u; H is its own inverse.
+def _reflect(v: np.ndarray, u: np.ndarray, u_conj: np.ndarray, axis: int,
+             work: np.ndarray) -> None:
+    """v <- v - 2 u (u* v) in place: the Householder reflection I - 2 u u*
+    along axis of v, u a unit vector or a stack of them and u_conj its
+    conjugate; the reflection is its own inverse.
 
-    work is an (M, N) scratch buffer.  The projection u* v of each arm sums
-    its M terms across rows, elementwise.
+    work is scratch of v's shape.  The projection u* v sums v u_conj along
+    axis: pairwise along a contiguous row (axis 1), one term at a time and
+    elementwise across the rows along axis 0.
     """
-    proj = np.multiply(amps, u_conj, out=work).sum(axis=0, keepdims=True)
+    proj = np.multiply(v, u_conj, out=work).sum(axis=axis, keepdims=True)
+    proj *= 2.0
     # u first: with fused multiply-adds a complex product rounds differently
     # when its operands swap
-    amps -= np.multiply(u, 2.0 * proj, out=work)
+    v -= np.multiply(u, proj, out=work)
 
 
 def _reflect_agent(
@@ -397,24 +402,20 @@ def _reflect_agent(
 ) -> None:
     """amps <- W_agent S W_agent* amps in place, for any W_agent with W_agent|0> = alpha.
 
-    Composite: 2|alpha,0><alpha,0| - I reflects row 0 about alpha,
-    2 alpha (alpha* row0) - row0, and negates every other row.  Tensor:
-    (2|alpha><alpha| - I) (x) (2|0><0| - I) maps every row v to
-    v - 2 alpha (alpha* v), then negates row 0.  Each projection alpha* v,
-    a sum of N terms, runs along one contiguous row, so numpy sums it
-    pairwise; along a strided axis it would add one term at a time, with an
-    error growing with N.
+    Composite: 2|alpha,0><alpha,0| - I maps row 0 to 2 alpha (alpha* row0)
+    - row0 and negates every other row, so row 0 takes the Householder
+    reflection about alpha, then every row is negated; -fl(v - w) is
+    fl(w - v), so the order costs nothing.  Tensor: (2|alpha><alpha| - I)
+    (x) (2|0><0| - I) reflects every row about alpha, then negates row 0.
+    Each projection alpha* v, a sum of N terms, runs along one contiguous
+    row, so numpy sums it pairwise; along a strided axis it would add one
+    term at a time, with an error growing with N.
     """
-    alpha_conj = alpha.conj()
     if reflection == "composite":
-        row = work[:1]
-        proj = np.multiply(amps[:1], alpha_conj, out=row).sum(axis=1, keepdims=True)
+        _reflect(amps[:1], alpha, alpha.conj(), 1, work[:1])
         np.negative(amps, out=amps)
-        # alpha first, as in _reflect_env
-        amps[:1] += np.multiply(alpha, 2.0 * proj, out=row)
     else:
-        proj = np.multiply(amps, alpha_conj, out=work).sum(axis=1, keepdims=True)
-        amps -= np.multiply(alpha, 2.0 * proj, out=work)
+        _reflect(amps, alpha, alpha.conj(), 1, work)
         np.negative(amps[0], out=amps[0])
 
 
@@ -425,9 +426,9 @@ def _step(ops: QbaiOperators, amps: np.ndarray, work: np.ndarray) -> None:
     ops.alpha = g alpha.  Multiplying by +-1 changes no magnitude.
     """
     amps *= ops.sign
-    _reflect_env(amps, ops.u, ops.u_conj, work)
+    _reflect(amps, ops.u, ops.u_conj, 0, work)
     _reflect_agent(amps, ops.alpha, ops.reflection, work)
-    _reflect_env(amps, ops.u, ops.u_conj, work)
+    _reflect(amps, ops.u, ops.u_conj, 0, work)
 
 
 def _buffer(s: StateVector, dtype=None) -> np.ndarray:
@@ -512,33 +513,26 @@ def run_qbai(
     return _readout(ops, int(n), amps)
 
 
-def cross_check(
-    model: ClosedForm, runs: Iterable[QbaiRun], laws: np.ndarray | None = None
-) -> tuple[float, float]:
+def cross_check(model: ClosedForm, runs: Iterable[QbaiRun]) -> tuple[float, float]:
     """Largest deviations of the runs from the closed form: (law, amplitude).
 
     For each run, the law deviation is max |run.p_rec - model.p_rec(run.n)|
     and the amplitude deviation |run.good_amp - sqrt(model.amplified(run.n))|.
     The caller picks the runs; they are read once, a block of at most
     CHECK_BLOCK_CELLS law cells at a time, and the closed form is evaluated once
-    per block.  laws, when given, holds model.p_rec(run.n) for each run, one
-    row per run, so that a caller already holding the law does not evaluate
-    it again.  Raises InvariantViolation when either deviation exceeds
+    per block.  Raises InvariantViolation when either deviation exceeds
     SIM_AGREE_TOL or is NaN.
     """
     max_p_dev = 0.0
     max_amp_dev = 0.0
     runs = iter(runs)
     block_len = max(1, CHECK_BLOCK_CELLS // len(model.w))
-    done = 0
     while block := list(itertools.islice(runs, block_len)):
         ns = np.array([run.n for run in block])
         law = np.array([run.p_rec for run in block])
         good_amp = np.array([run.good_amp for run in block])
-        want = model.p_rec(ns) if laws is None else laws[done:done + len(block)]
-        done += len(block)
         # np.maximum keeps a NaN, where the builtin max would drop it
-        max_p_dev = float(np.maximum(max_p_dev, np.abs(law - want).max()))
+        max_p_dev = float(np.maximum(max_p_dev, np.abs(law - model.p_rec(ns)).max()))
         max_amp_dev = float(np.maximum(
             max_amp_dev, np.abs(good_amp - np.sqrt(model.amplified(ns))).max()))
     if not (max_p_dev <= SIM_AGREE_TOL and max_amp_dev <= SIM_AGREE_TOL):

@@ -143,6 +143,32 @@ def test_step_counts_above_the_simulator_ceiling_are_rejected(capsys, instance_p
                             f"the simulator's range 0..{STEP_CEILING}\n")
 
 
+def test_analytic_tables_above_the_cell_ceiling_are_rejected(monkeypatch, capsys,
+                                                           tmp_path):
+    """Arm values {1e-100, 0} lift the phase ceiling past 10**49, so --n 2^31
+    passes it; the table would hold 5 * (2^31 + 1) cells, over 100 GB, and
+    exits 1 at once, naming the cell ceiling, before any row."""
+    path = tmp_path / "tiny-p.json"
+    write_instance(path, bernoulli_instance([1e-100, 0.0]))
+    argv = ["analytic", "--instance", str(path)]
+    begin = time.perf_counter()
+    assert main([*argv, "--n", str(2**31)]) == 1
+    assert time.perf_counter() - begin < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"qbandit: error: --n {2**31} makes a table of "
+                            f"{5 * (2**31 + 1)} cells, above the ceiling "
+                            f"{cli.TABLE_CELL_CEILING} (rows x columns)\n")
+    # CI's 200 001-row two-arm table stays inside it
+    assert 200_001 * 5 <= cli.TABLE_CELL_CEILING
+    # the ceiling counts rows times columns: 10 rows of 5 fill 50 cells exactly
+    monkeypatch.setattr(cli, "TABLE_CELL_CEILING", 50)
+    _, rows = run_csv(capsys, [*argv, "--n", "9"])
+    assert len(rows) == 10
+    assert main([*argv, "--n", "10"]) == 1
+    assert "makes a table of 55 cells" in capsys.readouterr().err
+
+
 def test_compare_on_a_tiny_p_instance_returns_without_simulating(capsys, tmp_path):
     """Arm values {1e-100, 0}: p = 5e-101 and n_star is about 1.1e50, far
     above STEP_CEILING, so compare reports the closed form alone, at once,
@@ -366,7 +392,7 @@ def test_compare_and_scale_exit_3_when_the_simulator_disagrees(monkeypatch, caps
         assert "disagree" in captured.err
 
 
-@pytest.mark.parametrize("delta", ["1.5", "nan"])
+@pytest.mark.parametrize("delta", ["1.5", "nan", "-1e-3", "-inf"])
 def test_bad_delta_rejected_before_the_monte_carlo(monkeypatch, capsys, instance_path,
                                                    delta):
     def no_monte_carlo(*args, **kwargs):
@@ -461,9 +487,11 @@ def test_alpha_in_instance_file_is_used(capsys, tmp_path):
         ["analytic", "--seed", "-1"],
         ["simulate", "--seed", "-1"],
         ["scale", "--family", "one-good-arm", "--sizes", "4,8", "--seed", "-1"],
+        # argparse alone takes -1e3 for an option string
+        ["analytic", "--n", "-1e3"],
     ],
     ids=["simulate", "analytic", "validate", "compare", "scale", "ucbe",
-         "seed-analytic", "seed-simulate", "seed-scale"],
+         "seed-analytic", "seed-simulate", "seed-scale", "exponent-analytic"],
 )
 def test_negative_counts_rejected(capsys, instance_path, argv):
     if argv[0] != "scale":
@@ -474,13 +502,24 @@ def test_negative_counts_rejected(capsys, instance_path, argv):
     assert "expected a non-negative integer" in captured.err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-nan", "-inf"])
 def test_non_finite_explore_rejected(capsys, instance_path, value):
     argv = ["ucbe", "--instance", instance_path, "-T", "50", "--explore", value]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "explore must be finite" in captured.err
+
+
+@pytest.mark.parametrize("value", ["-1", "-1e5"])
+def test_negative_explore_rejected(capsys, instance_path, value):
+    """argparse alone reads -1 as a value but takes -1e5 for an option
+    string; both reach the option's own check."""
+    argv = ["ucbe", "--instance", instance_path, "-T", "50", "--explore", value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "explore must be finite and non-negative" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -588,11 +627,15 @@ _PLAIN_VALUES = [0.0, 0.25, 0.5, 1.0]
 _PLAIN_ALPHA = [0.0, 1.0, 0.6, 0.8, 2**-0.5]
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=2),
                   st.lists(st.integers(0, 1), max_size=2))
-_FLOAT_ARGS = ["0", "-1", "1", "0.05", "2", "5e-324", "1e-300", "1e308", "nan", "inf",
-               "-inf"]
-# run-time counts stay small; 2^31 and 2^63 only where a ceiling stops them
-_SMALL_COUNTS = st.sampled_from(["0", "1", "2", "5"])
+# NaN, infinities, subnormals, signed zeros and negative exponents, in the
+# forms float() reads and argparse alone would take for options
+_FLOAT_ARGS = ["0", "-0.0", "-1", "1", "0.05", "2", "5e-324", "-5e-324", "1e-310",
+               "1e-300", "1e-3", "-1e-3", "-1e5", "1e308", "nan", "-nan", "NaN", "inf",
+               "-inf", "-Infinity"]
+# 2^31 and 2^63 only where a ceiling stops them before the run
 _ANY_COUNTS = st.sampled_from(["0", "1", "2", "5", str(2**31), str(2**63)])
+_SIZES = st.sampled_from(["0", "1", str(2**31), str(2**63), "0,2", "1,2,4", "4,8", "-3",
+                          "x", "4,2000000"])
 
 
 @st.composite
@@ -638,7 +681,7 @@ def _run(draw) -> tuple[str | None, list[str]]:
                  "--reflection", draw(st.sampled_from(REFLECTIONS)),
                  "--phases", draw(st.sampled_from(["real", "random"]))]
     elif command == "analytic":
-        argv += ["--n", draw(_SMALL_COUNTS)]
+        argv += ["--n", draw(_ANY_COUNTS)]
     elif command == "ucbe":
         argv += ["-T", draw(st.sampled_from(["30", "3", "1", "0"])),
                  "--trials", draw(st.sampled_from(["7", "1", "0", "-1"])),
@@ -647,11 +690,10 @@ def _run(draw) -> tuple[str | None, list[str]]:
             if draw(st.booleans()):
                 argv += [flag, draw(st.sampled_from(_FLOAT_ARGS))]
     else:
-        argv += ["--sim-cap", "4096" if check else "0"]
+        argv += ["--sim-cap", "4096" if check else draw(_ANY_COUNTS)]
     if command == "scale":
         argv += ["--family", draw(st.sampled_from(sorted(FAMILIES))),
-                 "--sizes", draw(st.sampled_from(["1", "0,2", "1,2,4", "4,8", "-3", "x",
-                                                  "4,2000000"]))]
+                 "--sizes", draw(_SIZES)]
         return None, argv
     return draw(_instance_text(plain=check)), argv
 
@@ -665,8 +707,9 @@ def test_every_run_ends_in_a_documented_exit_code(tmp_path_factory, run):
     """main on drawn instance files and argv, in process: the code is 0, 1, 2
     or 3; no traceback; stderr holds `qbandit: warning:` lines and, on a
     failure, one `qbandit:` error line (after argparse's usage, for a bad
-    flag).  The suite turns a RuntimeWarning into an error, so a numeric
-    warning inside a run fails here too."""
+    flag), and no value is taken for an option, so every value reaches its
+    option's own check.  The suite turns a RuntimeWarning into an error, so
+    a numeric warning inside a run fails here too."""
     text, argv = run
     if text is not None:
         path = tmp_path_factory.mktemp("fuzz") / "inst.json"
@@ -678,6 +721,7 @@ def test_every_run_ends_in_a_documented_exit_code(tmp_path_factory, run):
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2, 3), (argv, text, code)
     assert "Traceback" not in err.getvalue()
+    assert "expected one argument" not in err.getvalue(), (argv, lines)
     rest = [line for line in lines if not line.startswith("qbandit: warning: ")]
     if code == 0:
         assert rest == [] and out.getvalue(), (argv, text, lines)

@@ -119,16 +119,17 @@ def test_compare_raises_when_the_simulator_disagrees(monkeypatch, field):
     assert not compare(bernoulli_instance([0.5, 0.1, 0.1, 0.1]), sim_cap=1).simulated
 
 
-def test_compare_evaluates_the_law_once(monkeypatch):
-    """compare evaluates the closed-form law at n_star once and hands it to
-    the cross-check, which still checks it against the simulated run."""
+def test_compare_cross_checks_the_law_at_n_star(monkeypatch):
+    """compare evaluates the closed-form law at n_star for its report, and
+    the cross-check evaluates its own, once, on the run simulated to n_star."""
     calls = []
     real = ClosedForm.p_rec
     monkeypatch.setattr(ClosedForm, "p_rec",
                         lambda self, n: calls.append(n) or real(self, n))
     report = compare(bernoulli_instance([0.5, 0.1, 0.1, 0.1]))
     assert report.simulated
-    assert calls == [report.n_star]
+    assert len(calls) == 2 and calls[0] == report.n_star
+    assert np.array_equal(calls[1], [report.n_star])
 
 
 @pytest.mark.parametrize("family", [one_good_arm, two_tier])

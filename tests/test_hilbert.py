@@ -18,8 +18,8 @@ from qbandit.qbai import (
     StateVector,
     _buffer,
     _householder,
+    _reflect,
     _reflect_agent,
-    _reflect_env,
     build_operators,
     grover_step,
     marginal_over_y,
@@ -68,7 +68,7 @@ def random_stage(rng: np.random.Generator, dims: tuple[int, int], kind: str):
         return (lambda amps: np.multiply(amps, ops.sign, out=amps)), oracle_matrix(inst.f == 1)
     if kind == "env":
         u, _ = _householder(random_columns(rng, (n, m)))
-        return (lambda amps: _reflect_env(amps, u, u.conj(), np.empty_like(amps)),
+        return (lambda amps: _reflect(amps, u, u.conj(), 0, np.empty_like(amps)),
                 reflectors(u, dims))
     alpha = unit(random_columns(rng, (1, n))[0])
     return agent_stage(alpha, kind), reflection_matrix(alpha, dims, kind)

@@ -538,6 +538,19 @@ def test_peak_dominates_first_rise_and_ceiling_bounds_everything():
             assert p_n <= ceiling(model) + 1e-12
 
 
+@pytest.mark.parametrize("n", [2_500, 10_000])
+def test_simulator_deviation_grows_at_most_as_n_eps(n):
+    """The simulator's deviation from the closed form grows about as n eps,
+    which is what STEP_CEILING budgets for.  On four arms worth {1e-9,
+    1e-10 x3} (n_star = 43566) it measures, as a multiple of n 2^-52,
+    0.13 (law) and 0.020 (amplitude) at n = 2500, and 0.15 and 0.20 at
+    n = 10000.  The bound c = 0.5 leaves a margin of at least 2.5x."""
+    inst = bernoulli_instance([1e-9, 1e-10, 1e-10, 1e-10])
+    law_dev, amp_dev = cross_check(success_probability(inst), [run_qbai(inst, n=n)])
+    bound = 0.5 * n * 2.0**-52
+    assert law_dev <= bound and amp_dev <= bound, (law_dev, amp_dev, bound)
+
+
 def test_run_qbai_validation_and_state():
     with pytest.raises(ValueError):
         run_qbai(four_arm_exact(), n=-1)
@@ -679,9 +692,6 @@ def test_blocked_cross_check_equals_the_per_run_check():
     assert cross_check(model, runs) == per_run_cross_check(model, runs)
     # a one-shot generator is read once, block by block
     assert cross_check(model, (run for run in runs)) == per_run_cross_check(model, runs)
-    # the law handed in, row by row, checks as the law evaluated per block
-    laws = model.p_rec(np.array([run.n for run in runs]))
-    assert cross_check(model, iter(runs), laws) == per_run_cross_check(model, runs)
 
 
 @pytest.mark.parametrize("field", ["p_rec", "good_amp"])
