@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+import threading
 import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -94,7 +95,7 @@ def _cmd_simulate(cfg: RunConfig):
     success_probability(inst, alpha)
     runs = _sweep(cfg, inst, alpha)
     rows = ((run.n, run.good_amp, run.bad_amp, *run.p_rec.tolist()) for run in runs)
-    return ["n", "good_amp", "bad_amp", *_arm_cols(inst)], rows, {}
+    return ["n", "good_amp", "bad_amp", *_arm_cols(inst)], rows, cfg.n + 1, {}
 
 
 # cells per block: analytic evaluates the closed form on this many cells
@@ -121,13 +122,9 @@ def _cmd_analytic(cfg: RunConfig):
     if cfg.n > (ceiling := model.step_ceiling()):
         raise ValueError(f"--n {cfg.n} is above {ceiling}, the largest step count whose "
                          f"phase (2n+1) theta float64 rounds within {SIM_AGREE_TOL}")
-    fieldnames = ["n", "amplified", "c_factor", *_arm_cols(inst)]
-    if (cells := (cfg.n + 1) * len(fieldnames)) > TABLE_CELL_CEILING:
-        raise ValueError(f"--n {cfg.n} makes a table of {cells} cells, above the "
-                         f"ceiling {TABLE_CELL_CEILING} (rows x columns)")
     rows = _analytic_rows(model, cfg.n, max(1, BLOCK_CELLS // inst.n_arms))
     extra = {"p_success": model.p, "n_star": model.n_star}
-    return fieldnames, rows, extra
+    return ["n", "amplified", "c_factor", *_arm_cols(inst)], rows, cfg.n + 1, extra
 
 
 def _cmd_ucbe(cfg: RunConfig):
@@ -159,7 +156,7 @@ def _cmd_ucbe(cfg: RunConfig):
         "error_bound": bound,
         "min_rounds": min_rounds,
     }
-    return list(row), [tuple(row.values())], {}
+    return list(row), [tuple(row.values())], 1, {}
 
 
 _COMPARE_COLS = ["N", "M", "p_success", "n_star", "qbai_success", "delta",
@@ -177,7 +174,7 @@ def _report_row(report: ComparisonReport) -> tuple:
 def _cmd_compare(cfg: RunConfig):
     inst, alpha = load_instance(cfg.instance)
     report = compare(inst, alpha, instance_id=cfg.instance, sim_cap=cfg.sim_cap)
-    return _COMPARE_COLS, [_report_row(report)], {}
+    return _COMPARE_COLS, [_report_row(report)], 1, {}
 
 
 def _cmd_scale(cfg: RunConfig):
@@ -188,7 +185,7 @@ def _cmd_scale(cfg: RunConfig):
         else (*_report_row(sr.report), sr.report.simulated, None)
         for sr in result.rows
     ]
-    return [*_COMPARE_COLS, "simulated", "error"], rows, {"slope": result.slope}
+    return [*_COMPARE_COLS, "simulated", "error"], rows, len(rows), {"slope": result.slope}
 
 
 def _cmd_validate(cfg: RunConfig):
@@ -203,9 +200,10 @@ def _cmd_validate(cfg: RunConfig):
         "max_p_deviation": max_p_dev,
         "max_amp_deviation": max_amp_dev,
     }
-    return list(row), [tuple(row.values())], {}
+    return list(row), [tuple(row.values())], 1, {}
 
 
+# each command returns (fieldnames, rows, row count, extra header fields)
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "analytic": _cmd_analytic,
@@ -267,84 +265,71 @@ def _json_block(fieldnames: list[str]) -> Callable[[list[tuple]], str]:
     return fmt
 
 
-def _share(procs: int, block: list[tuple], rows: Iterator[tuple], size: int,
+def _share(rows: Iterator[tuple], size: int, blocks: int, first: int, procs: int,
            fmt: Callable[[list[tuple]], str]) -> Iterator[bytes]:
-    """A writer's part of _write_rows: walking rows on from the block it was
-    forked at, the text of the next block and of every procs-th one after."""
+    """A writer's part of _write_rows: walking the rows from row 0, the text
+    of block first and of every procs-th block after it."""
     # the parent walks the same rows and shows each warning once
     warnings.simplefilter("ignore")
-    b = 0
-    while block:
-        if b % procs == 1:
-            yield fmt(block).encode(errors="surrogatepass")
-        if len(block) < size:
-            return
-        block = list(islice(rows, size))
-        b += 1
+    for b in range(first, blocks, procs):
+        skip = (procs - 1 if b > first else first) * size
+        yield fmt(list(islice(rows, skip, skip + size))).encode(errors="surrogatepass")
 
 
-def _write_rows(write: Callable[[str], object], rows: Iterable[tuple], width: int,
-                fmt: Callable[[list[tuple]], str], sep: str) -> bool:
-    """Write each block of rows as fmt(block), in order, with sep between
-    blocks; return whether any row was written.
+def _write_rows(write: Callable[[str], object], rows: Iterable[tuple], count: int,
+                width: int, fmt: Callable[[list[tuple]], str], sep: str) -> None:
+    """Write the count rows block by block, each as fmt(block), in order, with
+    sep between blocks.
 
     A block holds BLOCK_CELLS cells, or one row if a row is wider.  A table
-    of k blocks is formatted by min(k, P) processes, P the CPU count: each
-    walks rows, process b mod P formats block b, and this process writes
-    every block in order, reading the others' text from their pipes.
-    Process w > 0 is forked once a row past block w - 1 shows that block w
-    exists, so it formats block w while block w - 1 is formatted.  If rows
-    raises, the rows read since the last block written are written, and the
-    exception goes on.
+    of k blocks is formatted by min(k, P) processes, P the CPU count, all
+    forked before the first row is read: each walks rows, process b mod P
+    formats block b, and this process writes every block in order, reading
+    the others' text from their pipes.  A one-block table never counts the
+    CPUs.  If rows raises, the rows read since the last block written are
+    written, and the exception goes on.
     """
     size = max(1, BLOCK_CELLS // width)
+    blocks = -(-count // size)
+    procs = min(blocks, _cpus()) if blocks > 1 else 1
     rows = iter(rows)
-    # procs is 2, enough to look past block 0, until the first row past it
-    # has the CPUs counted; a one-block table never counts them
-    procs, b, block = 2, 0, []
+    block = []
     with Forked() as forked:
         try:
-            block.extend(islice(rows, size))
-            while block:
-                if len(block) == size and b + 1 < procs and (ahead := list(islice(rows, 1))):
-                    rows = chain(ahead, rows)
-                    procs = procs if b else _cpus()
-                    if b + 1 < procs:
-                        forked.start(_share, procs, block, rows, size, fmt)
-                owner = b % procs
-                done, block = block, []
-                text = (fmt(done) if owner == 0
-                        else forked.receive(owner - 1).decode(errors="surrogatepass"))
-                write(sep + text if b else text)
-                b += 1
-                if len(done) < size:
-                    break
+            for w in range(1, procs):
+                forked.start(_share, rows, size, blocks, w, procs, fmt)
+            for b in range(blocks):
                 block.extend(islice(rows, size))
+                done, block = block, []
+                text = (fmt(done) if b % procs == 0
+                        else forked.receive(b % procs - 1).decode(errors="surrogatepass"))
+                write(sep + text if b else text)
         except BaseException:
             if block:
                 write((sep if b else "") + fmt(block))
             raise
-    return b > 0
 
 
-def _write_json(fh, fields: dict, fieldnames: list[str], rows: Iterable[tuple]) -> None:
+def _write_json(fh, fields: dict, fieldnames: list[str], rows: Iterable[tuple],
+                count: int) -> None:
     """Write json.dumps({**fields, "rows": rows}, indent=2, sort_keys=True) and a
-    newline, block by block; each row is a tuple in fieldnames order."""
+    newline, block by block; each of the count rows is a tuple in fieldnames
+    order."""
     frame = json.dumps({**fields, "rows": []}, indent=2, sort_keys=True)
     head, _, tail = frame.partition('"rows": []')
     fh.write(head + '"rows": [')
-    wrote = _write_rows(fh.write, rows, len(fieldnames), _json_block(fieldnames), ",")
+    _write_rows(fh.write, rows, count, len(fieldnames), _json_block(fieldnames), ",")
     # json.dumps writes an empty list as []
-    fh.write(("\n  ]" if wrote else "]") + tail + "\n")
+    fh.write(("\n  ]" if count else "]") + tail + "\n")
 
 
 def _write_table(fh, cfg: RunConfig, fieldnames: list[str], rows: Iterable[tuple],
-                 extra: dict) -> None:
+                 count: int, extra: dict) -> None:
     timestamp = datetime.now(timezone.utc).isoformat()
     config = _recorded_config(cfg)
     if cfg.format == "json":
         _write_json(fh, {"config": config, "timestamp": timestamp, **extra},
-                    fieldnames, rows)
+                    fieldnames, rows, count)
         return
     fh.write(f"# qbandit {__version__} {cfg.command}\n")
     fh.write(f"# config = {json.dumps(config, sort_keys=True)}\n")
@@ -352,31 +337,62 @@ def _write_table(fh, cfg: RunConfig, fieldnames: list[str], rows: Iterable[tuple
         fh.write(f"# {key} = {value}\n")
     fh.write(f"# timestamp = {timestamp}\n")
     csv.writer(fh).writerow(fieldnames)
-    _write_rows(fh.write, rows, len(fieldnames), _csv_block(len(fieldnames)), "")
+    _write_rows(fh.write, rows, count, len(fieldnames), _csv_block(len(fieldnames)), "")
 
 
-def _emit(cfg: RunConfig, fieldnames: list[str], rows: Iterable[tuple], extra: dict) -> None:
-    """Write the header, then the rows block by block as they arrive, to -o
-    or to stdout.
+class _Terminated(BaseException):
+    """SIGTERM, raised where it arrives while an -o file is open."""
 
-    A table of more than one block is formatted by one process per CPU, each
-    walking the same rows and holding one block at a time (_write_rows).  A
-    failure after the -o file is opened removes the file, so no truncated
-    table is left behind; stdout keeps every row computed before the failure.
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
+def _emit(cfg: RunConfig, fieldnames: list[str], rows: Iterable[tuple], count: int,
+          extra: dict) -> None:
+    """Write the header, then the count rows block by block as they arrive,
+    to -o or to stdout.
+
+    A table above TABLE_CELL_CEILING is refused before anything is written
+    or opened.  A table of more than one block is formatted by one process
+    per CPU, each walking the same rows and holding one block at a time
+    (_write_rows).  A failure after the -o file is opened removes the file,
+    so no truncated table is left behind; so does SIGTERM, which then ends
+    the process as it would have.  stdout keeps every row computed before a
+    failure.
     """
+    if (cells := count * len(fieldnames)) > TABLE_CELL_CEILING:
+        # only the --n commands make tables that large
+        raise ValueError(f"--n {cfg.n} makes a table of {cells} cells, above the "
+                         f"ceiling {TABLE_CELL_CEILING} (rows x columns)")
     if not cfg.output:
-        _write_table(sys.stdout, cfg, fieldnames, rows, extra)
+        _write_table(sys.stdout, cfg, fieldnames, rows, count, extra)
         return
     # opened outside the try: a file that could not be opened is not ours to remove
     fh = open(cfg.output, "w")
+    import signal
+    # SIGTERM's default action would leave the file half written, so here it
+    # unwinds instead.  A SIGTERM the caller ignores or handles is left to it,
+    # as is a run off the main thread, where no handler can be set.
+    trap = (threading.current_thread() is threading.main_thread()
+            and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
+    if trap:
+        signal.signal(signal.SIGTERM, _terminate)
     try:
         with fh:
-            _write_table(fh, cfg, fieldnames, rows, extra)
-    except BaseException:
+            _write_table(fh, cfg, fieldnames, rows, count, extra)
+    except BaseException as exc:
         # never unlink a device or a link such as /dev/stdout
         if os.path.isfile(cfg.output) and not os.path.islink(cfg.output):
             os.remove(cfg.output)
+        if isinstance(exc, _Terminated):
+            # with the default action back, the signal ends the process
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.raise_signal(signal.SIGTERM)
         raise
+    finally:
+        if trap:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -414,10 +430,12 @@ def _count_arg(text: str) -> int:
 
 # largest arm count scale accepts; a run's memory grows with N
 SIZE_CEILING = 1 << 20
-# largest analytic table, in cells (rows x columns).  A table streams at
-# about 1-1.8 s per million cells on a 2-vCPU VM and takes 10-17 bytes a
-# cell in CSV, 28-35 in JSON, so one at the ceiling runs for 35-60 s and
-# writes 0.35-1.2 GB.
+# largest table any command writes, in cells (rows x columns); only
+# simulate's and analytic's --n reach it.  A table streams at about 1-1.8 s
+# per million cells on a 2-vCPU VM and takes 10-17 bytes a cell in CSV,
+# 28-35 in JSON, so one at the ceiling runs for 35-60 s and writes
+# 0.35-1.2 GB.  It bounds the table, not the work behind each row:
+# STEP_CEILING bounds a simulate sweep's.
 TABLE_CELL_CEILING = 1 << 25
 
 

@@ -5,13 +5,14 @@ yields reaches the parent as one frame: an 8-byte little-endian length, then
 the bytes.  An exception the work raises goes as its pickle, in a frame whose
 length is negated.  The child leaves with os._exit, so it never runs an
 atexit handler, flushes a buffer it inherited or returns into the caller's
-stack.  signal and pickle are imported only on the failure paths, so a run
-that does not fail never pays for importing them.
+stack.  signal is imported only on the failure path, so a run that does not
+fail never pays for importing it; pickle is already loaded by numpy.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from typing import BinaryIO, Callable, Iterable
 
 _HEADER = 8
@@ -73,7 +74,6 @@ class Forked:
                         pipe.write(payload)
                         pipe.flush()
                 except BaseException as exc:
-                    import pickle
                     payload = pickle.dumps(exc)
                     pipe.write(_frame(-len(payload)) + payload)
         finally:
@@ -92,6 +92,5 @@ class Forked:
         if len(payload) < abs(length):
             raise ChildProcessError("a forked worker ended partway through a result")
         if length < 0:
-            import pickle
             raise pickle.loads(payload)
         return payload

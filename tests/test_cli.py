@@ -11,8 +11,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -167,6 +169,38 @@ def test_analytic_tables_above_the_cell_ceiling_are_rejected(monkeypatch, capsys
     assert len(rows) == 10
     assert main([*argv, "--n", "10"]) == 1
     assert "makes a table of 55 cells" in capsys.readouterr().err
+
+
+def test_simulate_tables_above_the_cell_ceiling_are_rejected(monkeypatch, capsys,
+                                                           tmp_path):
+    """simulate is held to the same cell ceiling, checked before the -o file
+    is opened: one-good-arm N=4096 at --n 100000 would stream 100 001 rows of
+    4 099 cells for hours."""
+    path = tmp_path / "one-good-4096.json"
+    write_instance(path, FAMILIES["one-good-arm"](4096))
+    out = tmp_path / "table.csv"
+    argv = ["simulate", "--instance", str(path), "--n", "100000"]
+    begin = time.perf_counter()
+    assert main([*argv, "-o", str(out)]) == 1
+    assert time.perf_counter() - begin < 5.0
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"qbandit: error: --n 100000 makes a table of "
+                            f"{100_001 * 4_099} cells, above the ceiling "
+                            f"{cli.TABLE_CELL_CEILING} (rows x columns)\n")
+    # as for analytic: 10 rows of 5 fill 50 cells exactly, and 11 are refused
+    write_instance(path, bernoulli_instance([0.5, 0.25]))
+    monkeypatch.setattr(cli, "TABLE_CELL_CEILING", 50)
+    argv = ["simulate", "--instance", str(path)]
+    _, rows = run_csv(capsys, [*argv, "--n", "9"])
+    assert len(rows) == 10
+    for dest in ([], ["-o", str(out)]):
+        assert main([*argv, "--n", "10", *dest]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "makes a table of 55 cells" in captured.err
+        assert not out.exists()
 
 
 def test_compare_on_a_tiny_p_instance_returns_without_simulating(capsys, tmp_path):
@@ -778,7 +812,7 @@ def _untimed(text: str) -> str:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("after", [2, 5, 8],
-                         ids=["before-the-fork", "mid-block", "at-a-block-edge"])
+                         ids=["after-block-0", "mid-block", "at-a-block-edge"])
 def test_forked_table_keeps_the_rows_computed_before_a_failure(
         monkeypatch, capsys, instance_path, tmp_path, fmt, after):
     """A sweep failing after `after` rows: stdout holds exactly those rows, as
@@ -801,6 +835,70 @@ def test_forked_table_keeps_the_rows_computed_before_a_failure(
     rows_written = part.count('"bad_amp": ') if fmt == "json" else part.count("\r\n") - 1
     assert rows_written == after
     assert no_child_left()
+
+
+@pytest.mark.parametrize("ignored, n", [(False, 300_000), (True, 100_000)],
+                         ids=["default", "ignored"])
+def test_sigterm_removes_the_output_file(tmp_path, ignored, n):
+    """A run ended by SIGTERM, as timeout sends it, removes its -o file,
+    prints no traceback, still ends by SIGTERM and leaves no writer behind.
+    Where SIGTERM is ignored, the run writes the whole table.  A fresh
+    interpreter in its own session, so the signal reaches it alone and its
+    process group shows what outlives it."""
+    path = tmp_path / "two-arm.json"
+    write_instance(path, bernoulli_instance([0.5, 0.25]))
+    out = tmp_path / "table.csv"
+    code = f"""if True:
+        import signal, sys
+        from qbandit.cli import main
+        if {ignored}:
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        sys.exit(main(sys.argv[1:]))
+    """
+    src = Path(qbandit.__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-c", code, "analytic", "--instance", str(path),
+                             "--n", str(n), "-o", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not (out.exists() and out.stat().st_size):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    if not ignored:
+        assert (proc.returncode, stdout, stderr) == (-signal.SIGTERM, b"", b"")
+        assert not out.exists()
+        return
+    assert (proc.returncode, stdout, stderr) == (0, b"", b"")
+    # the column names and steps 0..n, after the header
+    assert len([line for line in out.read_text().splitlines()
+                if not line.startswith("#")]) == n + 2
+
+
+def test_output_file_runs_leave_sigterm_as_they_found_it(tmp_path, instance_path):
+    """An -o run restores SIGTERM's handler, and off the main thread, where
+    none can be set, writes its file all the same."""
+    out = tmp_path / "table.csv"
+    argv = ["analytic", "--instance", instance_path, "--n", "10", "-o", str(out)]
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(argv) == 0
+    assert signal.getsignal(signal.SIGTERM) == before
+    whole = _untimed(out.read_text())
+    out.unlink()
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join()
+    assert codes == [0]
+    assert _untimed(out.read_text()) == whole
 
 
 def test_one_block_tables_never_fork(monkeypatch, capsys, instance_path):
@@ -946,11 +1044,11 @@ def test_block_writer_matches_reference_encoders(data):
         patch.setattr(cli, "BLOCK_CELLS", 4)
         patch.setattr(cli, "_cpus", lambda: 3)
         buf = io.StringIO()
-        cli._write_json(buf, {"n_star": 1}, fieldnames, iter(rows))
+        cli._write_json(buf, {"n_star": 1}, fieldnames, iter(rows), len(rows))
         payload = {"n_star": 1, "rows": [dict(zip(fieldnames, row)) for row in rows]}
         assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         buf = io.StringIO()
-        cli._write_rows(buf.write, iter(rows), width, cli._csv_block(width), "")
+        cli._write_rows(buf.write, iter(rows), len(rows), width, cli._csv_block(width), "")
         ref = io.StringIO()
         csv.writer(ref).writerows(rows)
         assert buf.getvalue() == ref.getvalue()
@@ -964,7 +1062,7 @@ def test_block_writer_matches_reference_encoders(data):
 ])
 def test_json_value_matches_json_dumps(value):
     buf = io.StringIO()
-    cli._write_json(buf, {"n_star": 1}, ["v"], iter([(value,)]))
+    cli._write_json(buf, {"n_star": 1}, ["v"], iter([(value,)]), 1)
     payload = {"n_star": 1, "rows": [{"v": value}]}
     assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -982,7 +1080,7 @@ def test_write_json_matches_json_dumps(rows):
     fields = {"config": {"seed": 3, "sizes": [4, 8]}, "n_star": 2,
               "timestamp": "t", "slope": None}
     buf = io.StringIO()
-    cli._write_json(buf, fields, fieldnames, iter(rows))
+    cli._write_json(buf, fields, fieldnames, iter(rows), len(rows))
     payload = {**fields, "rows": [dict(zip(fieldnames, row)) for row in rows]}
     assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -993,11 +1091,12 @@ def test_write_json_sorts_twelve_arm_columns_as_json_dumps(tmp_path):
     path = tmp_path / "twelve.json"
     write_instance(path, bernoulli_instance(np.linspace(0.05, 0.6, 12)))
     cfg = cli.RunConfig(command="simulate", instance=str(path), n=4, format="json")
-    fieldnames, rows, _ = cli._COMMANDS["simulate"](cfg)
+    fieldnames, rows, count, _ = cli._COMMANDS["simulate"](cfg)
     rows = list(rows)
+    assert count == len(rows) == 5
     fields = {"config": {"seed": 0}, "timestamp": "t"}
     buf = io.StringIO()
-    cli._write_json(buf, fields, fieldnames, iter(rows))
+    cli._write_json(buf, fields, fieldnames, iter(rows), len(rows))
     payload = {**fields, "rows": [dict(zip(fieldnames, row)) for row in rows]}
     assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     keys = list(json.loads(buf.getvalue())["rows"][0])
