@@ -49,7 +49,7 @@ from .ucbe import (
     ucbe_error_bound,
     ucbe_min_rounds,
 )
-from .workers import Forked, cpus as _cpus
+from .workers import Forked, processes
 
 
 @dataclass(frozen=True)
@@ -291,7 +291,7 @@ def _write_rows(write: Callable[[str], object], rows: Iterable[tuple], count: in
     """
     size = max(1, BLOCK_CELLS // width)
     blocks = -(-count // size)
-    procs = min(blocks, _cpus()) if blocks > 1 else 1
+    procs = processes(blocks)
     rows = iter(rows)
     block = []
     with Forked() as forked:

@@ -17,11 +17,14 @@ trial's uniforms in blocks of rounds; PCG64 random(a) followed by random(b)
 equals random(a + b) bit for bit, so the block width changes no draw.  Each
 round is read straight from the block the generators wrote, so a process
 holds one block of at most UNIFORM_BLOCK_BYTES (2 MiB) whatever T is, plus
-about 1 KB per lockstep trial for its generator and state.  estimate_error
-runs its trials in one forked worker per CPU the process may run on, each
-over a contiguous range of streams, and sums their integer counts, so its
-tables do not depend on the worker count and a run holds at most one block
-plus the lockstep state per CPU.
+one chunk of lockstep trials: about 1 KB per trial for its generator and row
+view, and (trials, N) float arrays of state.  estimate_error caps a chunk at
+UNIFORM_BLOCK_BYTES // (8 N) trials, at least one, so no state array holds
+more than 262 144 cells, the uniforms a block holds, unless one trial's N
+cells are more.  It runs its trials on workers.processes(trials) processes,
+each over a contiguous range of streams, and sums their integer counts, so
+its tables do not depend on the worker count and a run holds at most one
+block plus one chunk per CPU.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ import numpy as np
 
 from .bandits import BanditInstance, InstanceSummary, summarize
 from .errors import DegenerateInstance
-from .workers import Forked, cpus as _cpus
+from .workers import Forked, processes
 
 BONUS_VARIANTS = ("per-arm", "printed")
-# trials run in lockstep by one kernel call
+# the most trials run in lockstep by one kernel call
 DEFAULT_CHUNK = 2500
 # bytes of uniforms drawn per block of rounds (at least one round); the kernel
 # holds one block, whatever T is
@@ -254,37 +257,6 @@ def run_ucbe(inst: BanditInstance, T: int, explore: float, rng: RngStream) -> Uc
     return UcbeTrace(pulls=pulls, means=means, recommendation=int(np.argmax(means)))
 
 
-def _monte_carlo(
-    inst: BanditInstance, T: int, scale: float, trials: int, rng: RngStream, workers: int
-) -> tuple[float, float]:
-    """estimate_error's estimate after the argument checks, on min(workers,
-    trials) processes: the trials split into contiguous ranges, the first run
-    here, each other in a forked child that sends back its count."""
-    x_star = summarize(inst).x_star
-
-    def misidentified(start: int, stop: int) -> int:
-        wrong = 0
-        for first in range(start, stop, DEFAULT_CHUNK):
-            count = min(DEFAULT_CHUNK, stop - first)
-            sums, pulls = _lockstep(inst, T, scale, rng, first, count)
-            wrong += int((np.argmax(sums / pulls, axis=1) != x_star).sum())
-        return wrong
-
-    def frames(start: int, stop: int):
-        yield b"%d" % misidentified(start, stop)
-
-    workers = min(workers, trials)
-    bounds = [trials * w // workers for w in range(workers + 1)]
-    with Forked() as forked:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            forked.start(frames, start, stop)
-        wrong = misidentified(0, bounds[1])
-        wrong += sum(int(forked.receive(w)) for w in range(workers - 1))
-    e_hat = wrong / trials
-    ci = 1.96 * math.sqrt(e_hat * (1.0 - e_hat) / trials)
-    return e_hat, ci
-
-
 def estimate_error(
     inst: BanditInstance,
     T: int,
@@ -298,17 +270,42 @@ def estimate_error(
 
     Trial i uses stream rng.stream + i, so the estimate is reproducible and
     independent of chunking and of the worker count.  The trials split into
-    one contiguous range per CPU the process may run on, each range but the
-    first in a forked worker; within a range, chunks of DEFAULT_CHUNK trials
-    run in vectorized lockstep.  Each trial is draw-for-draw identical to
-    run_ucbe on its own stream, at explore = 0 under the printed bonus.
-    Each process holds at most one uniform block plus about 1 KB per
-    lockstep trial, so a run holds at most that much per CPU.
+    workers.processes(trials) contiguous ranges; the first runs here, each
+    other in a forked worker that sends back its count.  Within a range,
+    chunks of min(DEFAULT_CHUNK, UNIFORM_BLOCK_BYTES // (8 N)) trials, at
+    least one, run in vectorized lockstep.  Each trial is draw-for-draw
+    identical to run_ucbe on its own stream, at explore = 0 under the
+    printed bonus.  Each process holds one uniform block and one chunk:
+    about 1 KB per trial, and state arrays no larger than the block unless
+    one trial's N cells are more.  A run holds at most that much per CPU.
     """
     scale = _check_args(inst, T, explore, bonus)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    return _monte_carlo(inst, T, scale, trials, rng, _cpus())
+    x_star = summarize(inst).x_star
+    chunk = min(DEFAULT_CHUNK, max(1, UNIFORM_BLOCK_BYTES // (8 * inst.n_arms)))
+
+    def misidentified(start: int, stop: int) -> int:
+        wrong = 0
+        for first in range(start, stop, chunk):
+            sums, pulls = _lockstep(inst, T, scale, rng, first, min(chunk, stop - first))
+            wrong += int((np.argmax(sums / pulls, axis=1) != x_star).sum())
+            del sums, pulls   # not held while the next chunk runs
+        return wrong
+
+    def frames(start: int, stop: int):
+        yield b"%d" % misidentified(start, stop)
+
+    procs = processes(trials)
+    bounds = [trials * w // procs for w in range(procs + 1)]
+    with Forked() as forked:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            forked.start(frames, start, stop)
+        wrong = misidentified(0, bounds[1])
+        wrong += sum(int(forked.receive(w)) for w in range(procs - 1))
+    e_hat = wrong / trials
+    ci = 1.96 * math.sqrt(e_hat * (1.0 - e_hat) / trials)
+    return e_hat, ci
 
 
 def ucbe_error_bound(summary: InstanceSummary, T: int) -> float:

@@ -1,5 +1,9 @@
 """Forked worker processes that send their results back down pipes.
 
+processes(parts) decides how many processes a job of that many independent
+parts takes, for tables and the Monte Carlo alike: min(parts, cpus()), and
+one part never counts the CPUs, so it runs in the calling process alone.
+
 A worker runs work(*args) in an os.fork child.  Each bytes object the work
 yields reaches the parent as one frame: an 8-byte little-endian length, then
 the bytes.  An exception the work raises goes as its pickle, in a frame whose
@@ -25,6 +29,12 @@ def cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def processes(parts: int) -> int:
+    """Processes for a job of that many parts: min(parts, cpus()), and 1,
+    without counting the CPUs, for at most one part."""
+    return min(parts, cpus()) if parts > 1 else 1
 
 
 def _frame(length: int) -> bytes:

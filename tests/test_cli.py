@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import no_child_left, perturb_compare_runs, write_instance
 import qbandit
-from qbandit import cli, qbai
+from qbandit import cli, qbai, workers
 from qbandit.bandits import BanditInstance
 from qbandit.cli import main
 from qbandit.comparison import compare
@@ -802,7 +802,7 @@ def test_failure_mid_table_leaves_no_output_file(monkeypatch, capsys, instance_p
 def _forked_blocks(monkeypatch):
     """Two four-arm simulate rows per block, formatted by three processes."""
     monkeypatch.setattr(cli, "BLOCK_CELLS", 14)
-    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "cpus", lambda: 3)
 
 
 def _untimed(text: str) -> str:
@@ -904,11 +904,12 @@ def test_output_file_runs_leave_sigterm_as_they_found_it(tmp_path, instance_path
 def test_one_block_tables_never_fork(monkeypatch, capsys, instance_path):
     """Workers are counted only once a second block is seen: not for the
     one-row tables, nor for a table of exactly one full block (146 rows of
-    seven cells in 1024)."""
+    seven cells in 1024).  The ucbe table runs one trial, which never counts
+    them either."""
     def no_workers():
         pytest.fail("a one-block table asked for workers")
-    monkeypatch.setattr(cli, "_cpus", no_workers)
-    for argv in (["ucbe", "--instance", instance_path, "-T", "40", "--trials", "20"],
+    monkeypatch.setattr(workers, "cpus", no_workers)
+    for argv in (["ucbe", "--instance", instance_path, "-T", "40", "--trials", "1"],
                  ["compare", "--instance", instance_path],
                  ["validate", "--instance", instance_path],
                  ["scale", "--family", "two-tier", "--sizes", "4,8"],
@@ -925,7 +926,7 @@ def test_a_table_forks_one_writer_per_block_past_the_first(monkeypatch, capsys,
     """With 8 CPUs a table of k blocks (146 rows of seven cells in 1024)
     forks k - 1 writers, not 7, and writes the bytes one process writes."""
     argv = ["analytic", "--instance", instance_path, "--n", str(n), "--format", fmt]
-    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "cpus", lambda: 1)
     assert main(argv) == 0
     alone = _untimed(capsys.readouterr().out)
     started = []
@@ -936,7 +937,7 @@ def test_a_table_forks_one_writer_per_block_past_the_first(monkeypatch, capsys,
         start(self, work, *args)
 
     monkeypatch.setattr(cli.Forked, "start", counted)
-    monkeypatch.setattr(cli, "_cpus", lambda: 8)
+    monkeypatch.setattr(workers, "cpus", lambda: 8)
     assert main(argv) == 0
     assert _untimed(capsys.readouterr().out) == alone
     assert len(started) == blocks - 1
@@ -1000,14 +1001,14 @@ def test_forked_table_shows_each_warning_once(instance_path):
     fresh interpreter, since a worker's stderr is its own only there."""
     code = """if True:
         import sys, warnings
-        from qbandit import cli
+        from qbandit import cli, workers
         sweep = cli.sweep
         def warning_sweep(ops, n_max):
             for run in sweep(ops, n_max):
                 if run.n == 7:
                     warnings.warn("step 7 warns")
                 yield run
-        cli.sweep, cli.BLOCK_CELLS, cli._cpus = warning_sweep, 14, lambda: 3
+        cli.sweep, cli.BLOCK_CELLS, workers.cpus = warning_sweep, 14, lambda: 3
         sys.exit(cli.main(sys.argv[1:]))
     """
     src = Path(qbandit.__file__).resolve().parents[1]
@@ -1042,7 +1043,7 @@ def test_block_writer_matches_reference_encoders(data):
     fieldnames = ["n", "p10", 'a"%', "p2"][:width]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "BLOCK_CELLS", 4)
-        patch.setattr(cli, "_cpus", lambda: 3)
+        patch.setattr(workers, "cpus", lambda: 3)
         buf = io.StringIO()
         cli._write_json(buf, {"n_star": 1}, fieldnames, iter(rows), len(rows))
         payload = {"n_star": 1, "rows": [dict(zip(fieldnames, row)) for row in rows]}

@@ -12,10 +12,10 @@ import pytest
 
 from exact_ucbe import exact_error
 from helpers import four_arm_exact, no_child_left, write_instance
-from qbandit import cli, ucbe
+from qbandit import cli, ucbe, workers
 from qbandit.bandits import BanditInstance, summarize
 from qbandit.errors import DegenerateInstance
-from qbandit.instances import bernoulli_instance
+from qbandit.instances import bernoulli_instance, two_tier
 from qbandit.ucbe import (
     BONUS_VARIANTS,
     RngStream,
@@ -288,14 +288,15 @@ def test_worker_count_leaves_the_estimate_unchanged(monkeypatch, seed, base, tri
     inst = three_arm_three_outcome()
     T = 61
     explore = tuned_explore(summarize(inst), T)
-    one = ucbe._monte_carlo(inst, T, explore, trials, RngStream(seed, base), 1)
+    monkeypatch.setattr(workers, "cpus", lambda: 1)
+    one = estimate_error(inst, T, explore, trials, RngStream(seed, base))
     x_star = summarize(inst).x_star
     wrong = sum(run_ucbe(inst, T, explore, RngStream(seed, base + i)).recommendation != x_star
                 for i in range(trials))
     assert one[0] == wrong / trials
-    for workers in (2, 3, 5):
-        assert ucbe._monte_carlo(inst, T, explore, trials, RngStream(seed, base),
-                                 workers) == one
+    for w in (2, 3, 5):
+        monkeypatch.setattr(workers, "cpus", lambda: w)
+        assert estimate_error(inst, T, explore, trials, RngStream(seed, base)) == one
 
 
 def fail_after_first_range(error: BaseException):
@@ -312,7 +313,7 @@ def fail_after_first_range(error: BaseException):
 
 
 def test_a_failing_worker_raises_in_the_parent(monkeypatch):
-    monkeypatch.setattr(ucbe, "_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "cpus", lambda: 3)
     monkeypatch.setattr(ucbe, "_lockstep", fail_after_first_range(ValueError("worker fault")))
     inst = bernoulli_instance([0.6, 0.4])
     with pytest.raises(ValueError, match="worker fault"):
@@ -329,9 +330,10 @@ def test_a_worker_without_a_result_raises_in_the_parent(monkeypatch):
         return lockstep(inst, T, scale, rng, start, count)
 
     monkeypatch.setattr(ucbe, "_lockstep", vanish)
+    monkeypatch.setattr(workers, "cpus", lambda: 2)
     inst = bernoulli_instance([0.6, 0.4])
     with pytest.raises(ChildProcessError, match="without a result"):
-        ucbe._monte_carlo(inst, 30, 1.0, 90, RngStream(2), 2)
+        estimate_error(inst, 30, 1.0, 90, RngStream(2))
     assert no_child_left()
 
 
@@ -347,10 +349,11 @@ def test_workers_are_killed_when_the_parent_fails(monkeypatch):
         return lockstep(inst, T, scale, rng, start, count)
 
     monkeypatch.setattr(ucbe, "_lockstep", interrupted)
+    monkeypatch.setattr(workers, "cpus", lambda: 3)
     inst = bernoulli_instance([0.6, 0.4])
     begin = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        ucbe._monte_carlo(inst, 30, 1.0, 90, RngStream(2), 3)
+        estimate_error(inst, 30, 1.0, 90, RngStream(2))
     assert time.perf_counter() - begin < 10
     assert no_child_left()
 
@@ -358,7 +361,7 @@ def test_workers_are_killed_when_the_parent_fails(monkeypatch):
 def test_a_failing_worker_exits_the_cli_with_one_error_line(monkeypatch, tmp_path, capsys):
     path = tmp_path / "inst.json"
     write_instance(path, bernoulli_instance([0.5, 0.25]))
-    monkeypatch.setattr(ucbe, "_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "cpus", lambda: 2)
     monkeypatch.setattr(ucbe, "_lockstep", fail_after_first_range(ValueError("worker fault")))
     code = cli.main(["ucbe", "--instance", str(path), "-T", "40", "--trials", "50"])
     out, err = capsys.readouterr()
@@ -379,12 +382,13 @@ def test_estimate_error_memory_is_bounded_by_budget(monkeypatch):
     """
     budget = 64 << 10
     monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", budget)
+    monkeypatch.setattr(workers, "cpus", lambda: 1)
     inst = bernoulli_instance([0.5, 0.25])
     T, trials = 5000, 200
-    ucbe._monte_carlo(inst, 20, 1.0, 2, RngStream(0), 1)   # warm imports and caches
+    estimate_error(inst, 20, 1.0, 2, RngStream(0))   # warm imports and caches
     tracemalloc.start()
     try:
-        ucbe._monte_carlo(inst, T, 1.0, trials, RngStream(0), 1)
+        estimate_error(inst, T, 1.0, trials, RngStream(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -399,33 +403,64 @@ def test_uniforms_are_held_once(monkeypatch):
     peak above the bound."""
     budget = 4 << 20
     monkeypatch.setattr(ucbe, "UNIFORM_BLOCK_BYTES", budget)
+    monkeypatch.setattr(workers, "cpus", lambda: 1)
     inst = bernoulli_instance([0.5, 0.25])
     T, trials = 5000, 200
-    ucbe._monte_carlo(inst, 20, 1.0, 2, RngStream(0), 1)   # warm imports and caches
+    estimate_error(inst, 20, 1.0, 2, RngStream(0))   # warm imports and caches
     tracemalloc.start()
     try:
-        ucbe._monte_carlo(inst, T, 1.0, trials, RngStream(0), 1)
+        estimate_error(inst, T, 1.0, trials, RngStream(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= budget + 2048 * trials * inst.n_arms
 
 
-def test_estimate_error_memory_at_the_default_block():
+def test_estimate_error_memory_at_the_default_block(monkeypatch):
     """The four-arm criterion-5 shape, T=900 with 2500 trials, holds one block
     of at most 2 MiB plus about 1 KB per trial: about 4.8 MiB traced, all
     trials in one process.  An 8 MiB block with one SeedSequence per trial
     traced 10.6 MiB."""
+    monkeypatch.setattr(workers, "cpus", lambda: 1)
     inst = four_arm_exact()
     explore = tuned_explore(summarize(inst), 900)
-    ucbe._monte_carlo(inst, 20, explore, 2, RngStream(0), 1)   # warm imports and caches
+    estimate_error(inst, 20, explore, 2, RngStream(0))   # warm imports and caches
     tracemalloc.start()
     try:
-        ucbe._monte_carlo(inst, 900, explore, 2500, RngStream(0), 1)
+        estimate_error(inst, 900, explore, 2500, RngStream(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 6 << 20
+
+
+def test_estimate_error_memory_is_bounded_in_the_arm_count(monkeypatch):
+    """Two-tier N = 1024, T = 1030 with 1000 trials, all in one process.  A
+    chunk of 2 MiB / (8 N) = 256 trials holds the 2 MiB block, three (256, N)
+    state arrays of 2 MiB each and 256 generators: about 8.3 MiB traced.
+    One chunk of all 1000 trials, as a chunk size blind to N gives, traced
+    26.4 MiB."""
+    monkeypatch.setattr(workers, "cpus", lambda: 1)
+    inst = two_tier(1024)
+    explore = tuned_explore(summarize(inst), 1030)
+    estimate_error(inst, 1030, explore, 2, RngStream(0))   # warm imports and caches
+    tracemalloc.start()
+    try:
+        estimate_error(inst, 1030, explore, 1000, RngStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * ucbe.UNIFORM_BLOCK_BYTES
+
+
+def test_a_one_trial_monte_carlo_never_counts_the_cpus(monkeypatch):
+    def no_workers():
+        pytest.fail("a one-trial Monte Carlo asked for workers")
+    monkeypatch.setattr(workers, "cpus", no_workers)
+    inst = bernoulli_instance([0.6, 0.4])
+    e_hat, _ = estimate_error(inst, 30, 1.0, 1, RngStream(2))
+    assert e_hat == (run_ucbe(inst, 30, 1.0, RngStream(2)).recommendation != 0)
+    assert no_child_left()
 
 
 def test_estimate_error_validation():
