@@ -266,14 +266,14 @@ def _json_block(fieldnames: list[str]) -> Callable[[list[tuple]], str]:
 
 
 def _share(rows: Iterator[tuple], size: int, blocks: int, first: int, procs: int,
-           fmt: Callable[[list[tuple]], str]) -> Iterator[bytes]:
+           fmt: Callable[[list[tuple]], str]) -> Iterator[str]:
     """A writer's part of _write_rows: walking the rows from row 0, the text
     of block first and of every procs-th block after it."""
     # the parent walks the same rows and shows each warning once
     warnings.simplefilter("ignore")
     for b in range(first, blocks, procs):
         skip = (procs - 1 if b > first else first) * size
-        yield fmt(list(islice(rows, skip, skip + size))).encode(errors="surrogatepass")
+        yield fmt(list(islice(rows, skip, skip + size)))
 
 
 def _write_rows(write: Callable[[str], object], rows: Iterable[tuple], count: int,
@@ -301,8 +301,7 @@ def _write_rows(write: Callable[[str], object], rows: Iterable[tuple], count: in
             for b in range(blocks):
                 block.extend(islice(rows, size))
                 done, block = block, []
-                text = (fmt(done) if b % procs == 0
-                        else forked.receive(b % procs - 1).decode(errors="surrogatepass"))
+                text = fmt(done) if b % procs == 0 else forked.receive(b % procs - 1)
                 write(sep + text if b else text)
         except BaseException:
             if block:

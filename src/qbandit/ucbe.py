@@ -293,16 +293,16 @@ def estimate_error(
             del sums, pulls   # not held while the next chunk runs
         return wrong
 
-    def frames(start: int, stop: int):
-        yield b"%d" % misidentified(start, stop)
+    def worker(start: int, stop: int):
+        yield misidentified(start, stop)
 
     procs = processes(trials)
     bounds = [trials * w // procs for w in range(procs + 1)]
     with Forked() as forked:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            forked.start(frames, start, stop)
+            forked.start(worker, start, stop)
         wrong = misidentified(0, bounds[1])
-        wrong += sum(int(forked.receive(w)) for w in range(procs - 1))
+        wrong += sum(forked.receive(w) for w in range(procs - 1))
     e_hat = wrong / trials
     ci = 1.96 * math.sqrt(e_hat * (1.0 - e_hat) / trials)
     return e_hat, ci

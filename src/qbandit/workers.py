@@ -4,10 +4,12 @@ processes(parts) decides how many processes a job of that many independent
 parts takes, for tables and the Monte Carlo alike: min(parts, cpus()), and
 one part never counts the CPUs, so it runs in the calling process alone.
 
-A worker runs work(*args) in an os.fork child.  Each bytes object the work
-yields reaches the parent as one frame: an 8-byte little-endian length, then
-the bytes.  An exception the work raises goes as its pickle, in a frame whose
-length is negated.  The child leaves with os._exit, so it never runs an
+A worker runs work(*args) in an os.fork child.  Each value the work yields
+goes down the worker's pipe as the pickle of (value, None), and receive()
+returns the values in the order they were yielded.  An exception the work
+raises goes as the pickle of (None, exc), and receive() raises it.  A worker
+that ends before or partway through a pickle makes receive() raise
+ChildProcessError.  The child leaves with os._exit, so it never runs an
 atexit handler, flushes a buffer it inherited or returns into the caller's
 stack.  signal is imported only on the failure path, so a run that does not
 fail never pays for importing it; pickle is already loaded by numpy.
@@ -17,9 +19,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import BinaryIO, Callable, Iterable
-
-_HEADER = 8
+from typing import Any, BinaryIO, Callable, Iterable
 
 
 def cpus() -> int:
@@ -35,10 +35,6 @@ def processes(parts: int) -> int:
     """Processes for a job of that many parts: min(parts, cpus()), and 1,
     without counting the CPUs, for at most one part."""
     return min(parts, cpus()) if parts > 1 else 1
-
-
-def _frame(length: int) -> bytes:
-    return length.to_bytes(_HEADER, "little", signed=True)
 
 
 class Forked:
@@ -57,13 +53,18 @@ class Forked:
     def __exit__(self, exc_type, *_) -> None:
         for pid, pipe in self._workers:
             pipe.close()
-            if exc_type is not None:
-                import signal
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            try:
+                if exc_type is not None:
+                    import signal
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                # SIGCHLD ignored, which exec passes on, has the kernel reap
+                # each worker as it ends
+                pass
 
-    def start(self, work: Callable[..., Iterable[bytes]], *args) -> None:
-        """Run work(*args) in a new worker, whose frames receive() reads."""
+    def start(self, work: Callable[..., Iterable[Any]], *args) -> None:
+        """Run work(*args) in a new worker, whose values receive() returns."""
         read, write = os.pipe()
         try:
             pid = os.fork()
@@ -79,28 +80,22 @@ class Forked:
             os.close(read)
             with os.fdopen(write, "wb") as pipe:
                 try:
-                    for payload in work(*args):
-                        pipe.write(_frame(len(payload)))
-                        pipe.write(payload)
+                    for value in work(*args):
+                        pickle.dump((value, None), pipe)
                         pipe.flush()
                 except BaseException as exc:
-                    payload = pickle.dumps(exc)
-                    pipe.write(_frame(-len(payload)) + payload)
+                    pickle.dump((None, exc), pipe)
         finally:
             # no atexit handler, no inherited buffer flush, no caller frame
             os._exit(0)
 
-    def receive(self, worker: int) -> bytes:
-        """The next frame of that worker; raise what it raised, or
-        ChildProcessError when it ended without sending one."""
-        pipe = self._workers[worker][1]
-        header = pipe.read(_HEADER)
-        if len(header) < _HEADER:
-            raise ChildProcessError("a forked worker ended without a result")
-        length = int.from_bytes(header, "little", signed=True)
-        payload = pipe.read(abs(length))
-        if len(payload) < abs(length):
-            raise ChildProcessError("a forked worker ended partway through a result")
-        if length < 0:
-            raise pickle.loads(payload)
-        return payload
+    def receive(self, worker: int) -> Any:
+        """The next value that worker yielded; raise what it raised, or
+        ChildProcessError when it ended before or partway through a value."""
+        try:
+            value, exc = pickle.load(self._workers[worker][1])
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError("a forked worker ended without a result") from None
+        if exc is not None:
+            raise exc
+        return value

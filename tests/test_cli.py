@@ -956,11 +956,22 @@ def _vanishing(*args):
     yield
 
 
+class _ExitsWhenPickled:
+    def __reduce__(self):
+        os._exit(0)
+
+
+def _dying_partway(*args):
+    # the 1 MiB string reaches the pipe before the worker ends
+    yield "x" * 2**20, _ExitsWhenPickled()
+
+
 @pytest.mark.parametrize("share, code, message", [
     (_raising(ValueError("writer fault")), 1, "qbandit: error: writer fault"),
     (_raising(InvariantViolation("drift")), 3, "qbandit: internal check failed: drift"),
     (_vanishing, 1, "qbandit: error: a forked worker ended without a result"),
-], ids=["value-error", "invariant", "no-result"])
+    (_dying_partway, 1, "qbandit: error: a forked worker ended without a result"),
+], ids=["value-error", "invariant", "no-result", "partway"])
 def test_a_failing_writer_worker_exits_main_with_its_code(monkeypatch, capsys,
                                                           instance_path, share, code,
                                                           message):
@@ -992,6 +1003,63 @@ def test_writer_workers_are_killed_when_the_parent_fails(monkeypatch, capsys,
     assert main(["simulate", "--instance", instance_path, "--n", "10"]) == 1
     assert time.perf_counter() - begin < 10
     assert capsys.readouterr().out.count("\r\n") - 1 == 3
+    assert no_child_left()
+
+
+@contextlib.contextmanager
+def _sigchld_ignored():
+    """SIGCHLD ignored, as a run inherits it across exec: the kernel reaps
+    each worker as it ends."""
+    before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, before)
+
+
+@pytest.mark.parametrize("argv", [["analytic", "--n", "300"],
+                                  ["ucbe", "-T", "200", "--trials", "300"]],
+                         ids=["table", "monte-carlo"])
+def test_a_forked_run_under_sigchld_ignored_writes_the_default_bytes(monkeypatch, capsys,
+                                                                   instance_path, argv):
+    """Three-block table or three trial ranges on three processes: with
+    SIGCHLD ignored the run still exits 0 with the default run's bytes."""
+    argv = [*argv, "--instance", instance_path]
+    monkeypatch.setattr(workers, "cpus", lambda: 3)
+    assert main(argv) == 0
+    default = _untimed(capsys.readouterr().out)
+    with _sigchld_ignored():
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, _untimed(out), err) == (0, default, "")
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (ValueError("state norm is not 1"), 1, "qbandit: error: state norm is not 1"),
+    (InvariantViolation("drift"), 3, "qbandit: internal check failed: drift"),
+], ids=["value-error", "invariant"])
+def test_a_failing_run_under_sigchld_ignored_keeps_its_code(monkeypatch, capsys,
+                                                           instance_path, exc, code,
+                                                           message):
+    """The parent fails at the last row once the kernel has reaped every
+    writer, so no worker is left to kill: the run ends with its own code."""
+    _forked_blocks(monkeypatch)
+    parent, real_sweep = os.getpid(), cli.sweep
+
+    def failing(ops, n_max):
+        for run in real_sweep(ops, n_max):
+            if run.n == n_max and os.getpid() == parent:
+                deadline = time.monotonic() + 30
+                while not no_child_left() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise exc
+            yield run
+
+    monkeypatch.setattr(cli, "sweep", failing)
+    with _sigchld_ignored():
+        assert main(["simulate", "--instance", instance_path, "--n", "10"]) == code
+    assert capsys.readouterr().err == message + "\n"
     assert no_child_left()
 
 
